@@ -3,10 +3,11 @@
 
 Times each component of the simulator's per-batch inner loop in
 isolation -- hashing, CBF bulk increase, PEBS sampler observe at each
-level, Zipf drawing/churn, page-table placement lookups -- plus one
-end-to-end FreqTier run on the CacheLib CDN bench-grid workload, and
-writes ``BENCH_hotpath.json`` so successive PRs can track per-component
-cost (ns/op) and the sampler's RNG economy (uniforms drawn per offered
+level, Zipf drawing/churn, page-table placement lookups, GAP
+betweenness-centrality trace generation -- plus one end-to-end FreqTier
+run on the CacheLib CDN bench-grid workload, and writes
+``BENCH_hotpath.json`` so successive PRs can track per-component cost
+(ns/op) and the sampler's RNG economy (uniforms drawn per offered
 access).
 
 Usage::
@@ -21,9 +22,10 @@ fails (exit 1) if any shared component's ns/op regressed more than
 ``--tolerance`` (default 2.0x) against the baseline, if the
 sampler's RNG reduction at MEDIUM/LOW fell below ``--min-rng-reduction``
 (default 5x), or if a *full* (non-smoke) record's engine benchmark
-exceeds its absolute ns/batch ceiling (the fused-kernel speedup
-floor; smoke records are exempt because their shorter runs amortize
-setup over fewer batches).  ``--before BEFORE.json`` embeds a
+or GAP generator cell exceeds its absolute ns/batch ceiling (the
+fused-kernel and program-order speedup floors; smoke records are
+exempt because their shorter runs amortize setup over fewer batches
+and CI hosts vary).  ``--before BEFORE.json`` embeds a
 pre-optimization record and reports speedups against it.
 
 Schema v2: engine-level components carry ``batches_per_sec`` and the
@@ -38,6 +40,7 @@ not just for the one policy that happened to be compressed first.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
 import sys
@@ -56,9 +59,11 @@ from repro.cbf.hashing import derive_indices  # noqa: E402
 from repro.core.config import ExperimentConfig  # noqa: E402
 from repro.core.parallel import PolicySpec, WorkloadSpec  # noqa: E402
 from repro.core.runner import run_experiment  # noqa: E402
+from repro.memsim.machine import Machine, MachineConfig  # noqa: E402
 from repro.memsim.pagetable import LOCAL_TIER, PageTable  # noqa: E402
 from repro.sampling.events import AccessBatch  # noqa: E402
 from repro.sampling.pebs import PEBSSampler, SamplingLevel  # noqa: E402
+from repro.workloads.gap import GapWorkload  # noqa: E402
 from repro.workloads.zipfian import ZipfianSampler  # noqa: E402
 
 from repro import accel  # noqa: E402
@@ -96,6 +101,16 @@ _ENGINE_CEILINGS_NS = {
     "engine_cdn_multiclock": 600_000.0,
     "engine_cdn_tpp": 2_160_000.0,
     "engine_cdn_damon": 1_100_000.0,
+}
+
+#: Absolute ns/batch ceilings for full records' generator cells.
+#: gen_gap_bc: BC batches at scale 14 cost 1.4-2.4 ms each (2 vCPU
+#: shared VM, quiet to busy) while every batch was shuffled and the
+#: backward pass re-gathered the CSR; program order plus reused gathers
+#: run them in 0.6-1.0 ms.  The ceiling sits above the busy-host cost of
+#: the current generator and under the old one on a quiet host.
+_GEN_CEILINGS_NS = {
+    "gen_gap_bc": 1_500_000.0,
 }
 
 
@@ -207,6 +222,35 @@ def bench_pagetable_place(scale: int, reps: int) -> dict:
     return _timed(run, 2 * n, reps)
 
 
+def bench_gen_gap_bc(reps: int) -> dict:
+    """ns per GAP betweenness-centrality batch (generation only).
+
+    The same cell in smoke and full runs: 120 batches (several Brandes
+    trials, forward and backward levels) on a scale-14 Kronecker graph,
+    each rep restarting from the same source sequence.  The graph build
+    and the machine layout stay outside the timed region.
+    """
+    batches = 120
+    workload = GapWorkload("bc", scale=14, num_trials=1_000_000, seed=1)
+    pages = workload.footprint_pages
+    workload.setup(
+        Machine(MachineConfig(local_capacity_pages=pages, cxl_capacity_pages=pages))
+    )
+    start = workload.state_dict()
+    accesses = 0
+
+    def run() -> None:
+        nonlocal accesses
+        workload.load_state(start)
+        accesses = sum(
+            b.num_accesses for b in itertools.islice(workload.batches(), batches)
+        )
+
+    record = _timed(run, batches, reps)
+    record["accesses_per_sec"] = round(accesses / record["seconds_best"], 1)
+    return record
+
+
 #: Policies timed end-to-end on the CDN workload besides FreqTier.
 #: All run the engine's run-compressed fast path (no stream expansion):
 #: the PEBS policies sample by position, the hint-fault policies scan
@@ -300,18 +344,22 @@ def validate_record(record: dict) -> list[str]:
     return errors
 
 
-def _engine_ceiling_failures(record: dict, label: str) -> list[str]:
-    """Absolute engine ns/batch gates; full (non-smoke) records only."""
+def _ceiling_failures(record: dict, label: str) -> list[str]:
+    """Absolute engine and generator ns/batch gates; full records only."""
     if record.get("smoke"):
         return []
     failures = []
-    for name, ceiling in _ENGINE_CEILINGS_NS.items():
-        comp = record.get("components", {}).get(name)
-        if comp is not None and comp["ns_per_op"] > ceiling:
-            failures.append(
-                f"{label}: {name} {comp['ns_per_op']:.0f} ns/batch exceeds "
-                f"the fused-kernel ceiling {ceiling:.0f}"
-            )
+    for kind, ceilings in (
+        ("fused-kernel", _ENGINE_CEILINGS_NS),
+        ("generator", _GEN_CEILINGS_NS),
+    ):
+        for name, ceiling in ceilings.items():
+            comp = record.get("components", {}).get(name)
+            if comp is not None and comp["ns_per_op"] > ceiling:
+                failures.append(
+                    f"{label}: {name} {comp['ns_per_op']:.0f} ns/batch exceeds "
+                    f"the {kind} ceiling {ceiling:.0f}"
+                )
     return failures
 
 
@@ -320,8 +368,8 @@ def check_regressions(
 ) -> list[str]:
     """Compare a fresh record against a baseline; returns failures."""
     failures: list[str] = []
-    failures += _engine_ceiling_failures(record, "record")
-    failures += _engine_ceiling_failures(baseline, "baseline")
+    failures += _ceiling_failures(record, "record")
+    failures += _ceiling_failures(baseline, "baseline")
     base_components = baseline.get("components", {})
     smoke_mismatch = bool(record.get("smoke")) != bool(baseline.get("smoke"))
     for name, comp in record.get("components", {}).items():
@@ -371,6 +419,7 @@ def run_suite(smoke: bool) -> dict:
     components["zipf_reassign"] = bench_zipf_reassign(scale, reps)
     components["pagetable_tier_of"] = bench_pagetable_tier_of(scale, reps)
     components["pagetable_place"] = bench_pagetable_place(scale, reps)
+    components["gen_gap_bc"] = bench_gen_gap_bc(reps)
     components["engine_cdn"] = bench_engine_policy("freqtier", scale, reps, "numpy")
     numba_engine = bench_engine_policy("freqtier", scale, reps, "numba")
     if numba_engine is not None:
@@ -387,6 +436,8 @@ def run_suite(smoke: bool) -> dict:
         extra = ""
         if "batches_per_sec" in comp:
             extra = f"  ({comp['batches_per_sec']:.0f} batches/s, {comp['backend']})"
+        elif "accesses_per_sec" in comp:
+            extra = f"  ({comp['accesses_per_sec'] / 1e6:.1f}M accesses/s)"
         print(f"  {name:24s} {comp['ns_per_op']:12.1f} ns/op{extra}")
     for level, rec in sampler_rng.items():
         print(

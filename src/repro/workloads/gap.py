@@ -16,7 +16,10 @@ Memory layout (one region per array, mirroring the GAP C++ layout):
 
 Accesses are emitted at cache-line granularity (one access per 64-byte
 line touched), matching how the hardware counters in the paper's setup
-observe traffic.
+observe traffic.  Each batch lists its accesses in program order: the
+consumers (placement counts, i.i.d. PEBS positions, the sorting
+coalescer) see only the batch's page multiset, so a per-batch shuffle
+would cost RNG time without changing what a policy observes.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ KERNELS = ("bfs", "cc", "bc", "pr")
 PR_DAMPING = 0.85
 PR_ITERATIONS = 10
 
+#: ``log2(PAGE_SIZE)``: byte offsets map to pages with one shift.
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+#: ``log2(LINE)``.
+_LINE_SHIFT = LINE.bit_length() - 1
+assert 1 << _PAGE_SHIFT == PAGE_SIZE and 1 << _LINE_SHIFT == LINE
+
 
 def _lines_of_ranges(
     byte_starts: np.ndarray, byte_lens: np.ndarray
@@ -58,23 +67,48 @@ def _lines_of_ranges(
     byte_starts, byte_lens = byte_starts[keep], byte_lens[keep]
     if byte_starts.size == 0:
         return np.zeros(0, dtype=np.int64)
-    first = byte_starts // LINE
-    last = (byte_starts + byte_lens - 1) // LINE
-    counts = last - first + 1
-    total = int(counts.sum())
-    offsets = np.arange(total) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-    )
-    return np.repeat(first, counts) + offsets
+    first = byte_starts >> _LINE_SHIFT
+    last = (byte_starts + byte_lens - 1) >> _LINE_SHIFT
+    return _expand_ranges(first, last - first + 1)
+
+
+def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``.
+
+    One ``repeat`` of the per-range shift ``start - (output offset of the
+    range)`` plus one ``arange``; zero counts contribute nothing.
+    """
+    shift = starts.astype(np.int64)
+    shift[1:] -= np.cumsum(counts[:-1])
+    expanded = np.repeat(shift, counts)
+    expanded += np.arange(expanded.size, dtype=np.int64)
+    return expanded
+
+
+def _dedup_sorted(ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` for ids in ``[0, mask.size)``, as int64.
+
+    Marks ``ids`` in the all-False boolean ``mask`` and reads the marks
+    back in index order, then clears them so the mask can be reused.
+    """
+    mask[ids] = True
+    out = np.flatnonzero(mask)
+    mask[out] = False
+    return out
 
 
 class _Array:
     """A simulated array living in one machine region."""
 
     def __init__(self, elem_bytes: int, num_elems: int):
+        if elem_bytes & (elem_bytes - 1) or not 0 < elem_bytes <= PAGE_SIZE:
+            raise ValueError(f"elem_bytes must be a power of two <= {PAGE_SIZE}")
         self.elem_bytes = elem_bytes
         self.num_elems = num_elems
         self.start_page = 0  # set at setup()
+        # Element index -> page offset: (e * elem_bytes) >> log2(PAGE_SIZE),
+        # i.e. e >> (log2(PAGE_SIZE) - log2(elem_bytes)).
+        self._elem_shift = _PAGE_SHIFT - (elem_bytes.bit_length() - 1)
 
     @property
     def num_pages(self) -> int:
@@ -82,19 +116,21 @@ class _Array:
 
     def pages_of_elements(self, elems: np.ndarray) -> np.ndarray:
         """Page ids for random accesses to ``elems`` (one line each)."""
-        elems = np.asarray(elems, dtype=np.int64)
-        lines = (elems * self.elem_bytes) // LINE
-        return self.start_page + (lines * LINE) // PAGE_SIZE
+        pages = np.right_shift(elems, self._elem_shift, dtype=np.int64)
+        pages += self.start_page
+        return pages
 
     def pages_of_ranges(
         self, starts: np.ndarray, lens: np.ndarray
     ) -> np.ndarray:
         """Page ids (one per line) for element ranges [start, start+len)."""
-        lines = _lines_of_ranges(
+        pages = _lines_of_ranges(
             np.asarray(starts, dtype=np.int64) * self.elem_bytes,
             np.asarray(lens, dtype=np.int64) * self.elem_bytes,
         )
-        return self.start_page + (lines * LINE) // PAGE_SIZE
+        pages >>= _PAGE_SHIFT - _LINE_SHIFT
+        pages += self.start_page
+        return pages
 
 
 class GapWorkload(Workload):
@@ -137,6 +173,16 @@ class GapWorkload(Workload):
         self._prop64_b = _Array(8, n)
         self._rng = np.random.default_rng(seed + 7)
         self._degrees = np.diff(self.graph.indptr).astype(np.int64)
+        # Neighbour ids are gathered from one int64 copy of the CSR
+        # column indices (made on the first trial) instead of converting
+        # every gather.
+        self._indices64: np.ndarray | None = None
+        # Reusable all-False scratch mask for frontier deduplication.
+        self._seen = np.zeros(n, dtype=bool)
+        # Graph-constant full-sweep data of CC / PageRank, built lazily
+        # on first use (the pages again after every setup()).
+        self._edge_src: np.ndarray | None = None
+        self._sweep_pages: list[np.ndarray] | None = None
         #: Kernel outputs of the most recent trial (verification hook):
         #: bfs -> {"parent"}; cc -> {"comp"}; bc -> {"sigma", "level",
         #: "delta"}; pr -> {"rank"}.
@@ -162,6 +208,7 @@ class GapWorkload(Workload):
         ):
             region = machine.allocate(arr.num_pages, name=f"gap-{label}")
             arr.start_page = region.start_page
+        self._sweep_pages = None  # page ids depend on the layout
         self._machine = machine
 
     # -- checkpointing -------------------------------------------------------
@@ -177,7 +224,7 @@ class GapWorkload(Workload):
 
     def _pick_source(self) -> int:
         """A random non-isolated source node (GAP requires degree > 0)."""
-        degrees = self.graph.degrees()
+        degrees = self._degrees
         for __ in range(64):
             node = int(self._rng.integers(0, self.graph.num_nodes))
             if degrees[node] > 0:
@@ -186,6 +233,8 @@ class GapWorkload(Workload):
         return int(np.argmax(degrees))
 
     def batches(self) -> Iterator[AccessBatch]:
+        if self._indices64 is None:
+            self._indices64 = self.graph.indices.astype(np.int64)
         for trial in range(self.num_trials):
             source = self._pick_source()
             if self.kernel == "bfs":
@@ -198,8 +247,8 @@ class GapWorkload(Workload):
                 yield from self._bc_trace(source, trial)
 
     def _emit(self, pages: list[np.ndarray], trial: int) -> AccessBatch:
+        """One batch holding ``pages`` in program order."""
         all_pages = np.concatenate(pages) if pages else np.zeros(0, dtype=np.int64)
-        self._rng.shuffle(all_pages)
         return AccessBatch(
             page_ids=all_pages,
             num_ops=0.0,
@@ -209,26 +258,17 @@ class GapWorkload(Workload):
 
     def _gather_neighbors(
         self, frontier: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """All neighbors of ``frontier`` plus the pages touched to read them."""
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """All neighbors of ``frontier`` (int64), each node's neighbor
+        count, and the pages touched to read them."""
         starts = self.graph.indptr[frontier]
-        ends = self.graph.indptr[frontier + 1]
-        counts = (ends - starts).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64), [
-                self._indptr_arr.pages_of_elements(frontier)
-            ]
-        offsets = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        edge_idx = np.repeat(starts, counts) + offsets
-        neighbors = self.graph.indices[edge_idx].astype(np.int64)
-        pages = [
-            self._indptr_arr.pages_of_elements(frontier),
-            self._indices_arr.pages_of_ranges(starts, counts),
-        ]
-        return neighbors, pages
+        counts = self._degrees[frontier]
+        pages = [self._indptr_arr.pages_of_elements(frontier)]
+        if not counts.any():
+            return np.zeros(0, dtype=np.int64), counts, pages
+        neighbors = self._indices64[_expand_ranges(starts, counts)]
+        pages.append(self._indices_arr.pages_of_ranges(starts, counts))
+        return neighbors, counts, pages
 
     # -- BFS (direction-optimizing omitted; top-down level-synchronous) ----------
 
@@ -238,11 +278,11 @@ class GapWorkload(Workload):
         parent[source] = source
         frontier = np.array([source], dtype=np.int64)
         while frontier.size:
-            neighbors, pages = self._gather_neighbors(frontier)
+            neighbors, __, pages = self._gather_neighbors(frontier)
             if neighbors.size:
                 # Reading parent[] of every neighbor to test visited.
                 pages.append(self._prop32.pages_of_elements(neighbors))
-                fresh = np.unique(neighbors[parent[neighbors] < 0])
+                fresh = _dedup_sorted(neighbors[parent[neighbors] < 0], self._seen)
                 if fresh.size:
                     parent[fresh] = frontier[0]  # representative parent
                     pages.append(self._prop32.pages_of_elements(fresh))
@@ -255,36 +295,57 @@ class GapWorkload(Workload):
             "source": np.array([source]),
         }
 
+    # -- full-graph sweeps (CC and PageRank) ------------------------------------------
+
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-edge (source, destination) ids in CSR scan order (int64)."""
+        if self._edge_src is None:
+            self._edge_src = np.repeat(
+                np.arange(self.graph.num_nodes, dtype=np.int64), self._degrees
+            )
+        return self._edge_src, self._indices64
+
+    def _sweep(self) -> list[np.ndarray]:
+        """Pages one CC or PageRank iteration touches; graph-constant.
+
+        A streaming scan of the full CSR plus line-sampled random
+        accesses to the property arrays at the edge endpoints.
+        """
+        if self._sweep_pages is None:
+            edge_src, edge_dst = self._edges()
+            pages = [
+                self._indptr_arr.pages_of_ranges(
+                    np.array([0]), np.array([self.graph.num_nodes + 1])
+                ),
+                self._indices_arr.pages_of_ranges(
+                    np.array([0]), np.array([self.graph.num_directed_edges])
+                ),
+            ]
+            if self.kernel == "cc":
+                # Gathers/scatters on the component array: one line
+                # access per 16 edge endpoints (line reuse).
+                pages.append(self._prop32.pages_of_elements(edge_dst[::16]))
+                pages.append(self._prop32.pages_of_elements(edge_src[::16]))
+            else:
+                # Rank gathers (reads of src ranks) and scatters (dst
+                # accumulation), one line access per 8 edges.
+                pages.append(self._prop64_a.pages_of_elements(edge_src[::8]))
+                pages.append(self._prop64_b.pages_of_elements(edge_dst[::8]))
+            self._sweep_pages = pages
+        return self._sweep_pages
+
     # -- Connected components (Shiloach-Vishkin style label propagation) ----------
 
     def _cc_trace(self, trial: int) -> Iterator[AccessBatch]:
         n = self.graph.num_nodes
         comp = np.arange(n, dtype=np.int64)
-        graph = self.graph
-        # Precompute the per-edge source ids once (the CSR scan order).
-        edge_src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(graph.indptr).astype(np.int64)
-        )
-        edge_dst = graph.indices.astype(np.int64)
+        edge_src, edge_dst = self._edges()
         for _ in range(64):  # safety bound; converges much sooner
             old = comp.copy()
             # comp[dst] = min(comp[dst], comp[src]) over the full edge scan.
             np.minimum.at(comp, edge_dst, comp[edge_src])
             comp = comp[comp]  # pointer jumping
-            pages = [
-                # Streaming scan of the full CSR.
-                self._indptr_arr.pages_of_ranges(
-                    np.array([0]), np.array([n + 1])
-                ),
-                self._indices_arr.pages_of_ranges(
-                    np.array([0]), np.array([graph.num_directed_edges])
-                ),
-                # Random gathers/scatters on the component array: sample
-                # one line access per 16 edge endpoints (line reuse).
-                self._prop32.pages_of_elements(edge_dst[:: 16]),
-                self._prop32.pages_of_elements(edge_src[:: 16]),
-            ]
-            yield self._emit(pages, trial)
+            yield self._emit(self._sweep(), trial)
             if np.array_equal(old, comp):
                 break
         self.last_kernel_state = {"comp": comp}
@@ -294,30 +355,16 @@ class GapWorkload(Workload):
     def _pr_trace(self, trial: int) -> Iterator[AccessBatch]:
         """Power-iteration PageRank: full CSR scans + rank gathers."""
         n = self.graph.num_nodes
-        graph = self.graph
-        degrees = np.maximum(graph.degrees().astype(np.float64), 1.0)
+        degrees = np.maximum(self._degrees.astype(np.float64), 1.0)
         rank = np.full(n, 1.0 / n, dtype=np.float64)
-        edge_src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(graph.indptr).astype(np.int64)
-        )
-        edge_dst = graph.indices.astype(np.int64)
+        edge_src, edge_dst = self._edges()
         base = (1.0 - PR_DAMPING) / n
         for _ in range(PR_ITERATIONS):
             contrib = rank[edge_src] / degrees[edge_src]
-            incoming = np.zeros(n, dtype=np.float64)
-            np.add.at(incoming, edge_dst, contrib)
+            # Sums in edge order, exactly like np.add.at into zeros.
+            incoming = np.bincount(edge_dst, weights=contrib, minlength=n)
             rank = base + PR_DAMPING * incoming
-            pages = [
-                self._indptr_arr.pages_of_ranges(np.array([0]), np.array([n + 1])),
-                self._indices_arr.pages_of_ranges(
-                    np.array([0]), np.array([graph.num_directed_edges])
-                ),
-                # Rank gathers (reads of src ranks) and scatters (dst
-                # accumulation), line-sampled like the CC kernel.
-                self._prop64_a.pages_of_elements(edge_src[:: 8]),
-                self._prop64_b.pages_of_elements(edge_dst[:: 8]),
-            ]
-            yield self._emit(pages, trial)
+            yield self._emit(self._sweep(), trial)
         self.last_kernel_state = {"rank": rank}
 
     # -- Betweenness centrality (Brandes, level-synchronous) ------------------------
@@ -329,49 +376,57 @@ class GapWorkload(Workload):
         level[source] = 0
         sigma[source] = 1.0
         frontier = np.array([source], dtype=np.int64)
-        levels: list[np.ndarray] = [frontier]
+        # Forward gathers of every level past the source, reused by the
+        # backward pass: (front, int32 neighbors, counts, CSR pages).
+        gathers: list[tuple] = []
         depth = 0
         # Forward phase: BFS counting shortest paths.
         while frontier.size:
-            neighbors, pages = self._gather_neighbors(frontier)
+            neighbors, counts, pages = self._gather_neighbors(frontier)
+            if depth:
+                gathers.append(
+                    (frontier, neighbors.astype(np.int32), counts, pages[:])
+                )
             if neighbors.size:
                 pages.append(self._prop64_a.pages_of_elements(neighbors))
-                src_sigma = np.repeat(
-                    sigma[frontier],
-                    self._degrees[frontier],
-                )
+                # Every undiscovered neighbor lands on level depth + 1,
+                # and none is there yet: each gets its sigma only from
+                # this level, so summing into zeros is exact.
                 undiscovered = level[neighbors] < 0
-                on_next = level[neighbors] == depth + 1
-                contribute = undiscovered | on_next
-                np.add.at(sigma, neighbors[contribute], src_sigma[contribute])
-                fresh = np.unique(neighbors[undiscovered])
+                targets = neighbors[undiscovered]
+                src_sigma = np.repeat(sigma[frontier], counts)
+                sigma += np.bincount(
+                    targets, weights=src_sigma[undiscovered], minlength=n
+                )
+                fresh = _dedup_sorted(targets, self._seen)
                 if fresh.size:
                     level[fresh] = depth + 1
                     pages.append(self._prop32.pages_of_elements(fresh))
                 frontier = fresh
             else:
                 frontier = np.zeros(0, dtype=np.int64)
-            if frontier.size:
-                levels.append(frontier)
             depth += 1
             yield self._emit(pages, trial)
         # Backward phase: dependency accumulation, deepest level first.
         delta = np.zeros(n, dtype=np.float64)
-        for front in reversed(levels[1:]):
-            neighbors, pages = self._gather_neighbors(front)
+        for front, neighbors, counts, pages in reversed(gathers):
             if neighbors.size:
-                counts = self._degrees[front]
                 owner = np.repeat(front, counts)
-                predecessor = level[neighbors] == level[owner] - 1
+                # Every owner sits on the front's level.
+                predecessor = level[neighbors] == level[front[0]] - 1
                 if predecessor.any():
+                    pred = neighbors[predecessor]
+                    succ = owner[predecessor]
                     contrib = (
-                        sigma[neighbors[predecessor]]
-                        / np.maximum(sigma[owner[predecessor]], 1e-12)
-                        * (1.0 + delta[owner[predecessor]])
+                        sigma[pred]
+                        / np.maximum(sigma[succ], 1e-12)
+                        * (1.0 + delta[succ])
                     )
-                    np.add.at(delta, neighbors[predecessor], contrib)
+                    # Predecessors' delta is still zero: only this
+                    # level feeds it.
+                    delta += np.bincount(pred, weights=contrib, minlength=n)
                 pages.append(self._prop64_a.pages_of_elements(neighbors))
-                pages.append(self._prop64_b.pages_of_elements(owner[:: 4]))
+                pages.append(self._prop64_b.pages_of_elements(owner[::4]))
             yield self._emit(pages, trial)
         self.last_kernel_state = {
             "sigma": sigma,

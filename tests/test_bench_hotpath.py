@@ -152,3 +152,22 @@ class TestCheckRegressions:
         rec["components"]["engine_cdn"]["ns_per_op"] = over
         errors = bench.check_regressions(rec, _minimal_record(bench), 1e9, 0.0)
         assert errors == []
+
+    def test_generator_ceiling_enforced_on_full_records(self, bench):
+        base = _minimal_record(bench)
+        base["smoke"] = False
+        over = bench._GEN_CEILINGS_NS["gen_gap_bc"] * 2
+        base["components"]["gen_gap_bc"] = dict(
+            base["components"]["hashing"], ns_per_op=over
+        )
+        errors = bench.check_regressions(_minimal_record(bench), base, 1e9, 0.0)
+        assert any("gen_gap_bc" in e and "ceiling" in e for e in errors)
+
+    def test_generator_ceiling_skipped_for_smoke_records(self, bench):
+        rec = _minimal_record(bench)  # smoke record
+        over = bench._GEN_CEILINGS_NS["gen_gap_bc"] * 2
+        rec["components"]["gen_gap_bc"] = dict(
+            rec["components"]["hashing"], ns_per_op=over
+        )
+        errors = bench.check_regressions(rec, _minimal_record(bench), 1e9, 0.0)
+        assert errors == []
