@@ -29,7 +29,7 @@ def samples() -> np.ndarray:
     gen = iter(workload.batches())
     for __ in range(40):
         batch = next(gen)
-        sampler.observe(batch, machine.placement_of(batch.page_ids))
+        sampler.observe(batch)
     return sampler.drain().page_ids.astype(np.uint64)
 
 

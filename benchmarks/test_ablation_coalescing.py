@@ -31,7 +31,7 @@ def sampled_stream(num_batches: int = 60) -> list[np.ndarray]:
     gen = iter(workload.batches())
     for __ in range(num_batches):
         batch = next(gen)
-        sampler.observe(batch, machine.placement_of(batch.page_ids))
+        sampler.observe(batch)
         drained = sampler.drain()
         if drained.num_samples:
             batches.append(drained.page_ids.astype(np.uint64))

@@ -32,7 +32,7 @@ def stream() -> list[np.ndarray]:
     out = []
     for __ in range(50):
         batch = next(gen)
-        sampler.observe(batch, machine.placement_of(batch.page_ids))
+        sampler.observe(batch)
         drained = sampler.drain()
         if drained.num_samples:
             out.append(drained.page_ids.astype(np.uint64))

@@ -1,119 +1,39 @@
-"""Backend dispatch for the fused hot-path kernels.
+"""The fused hot-path kernels, as plain NumPy functions.
 
 The simulator's per-batch inner loop reduces to a handful of fused
-kernels -- placement gather + tier counting, the CBF's conservative
-increase with readback, hash-index derivation, the skip sampler's gap
-expansion and the workload's run expansion.  Each kernel has two
-implementations:
+kernels -- tier counting over a batch's head pages and page runs, the
+CBF's conservative increase with readback, hash-index derivation, the
+skip sampler's gap expansion and the workload's run expansion.  Each
+is a pure vectorized function of its array arguments (plus scalar
+shape/width parameters), so checkpoint/resume never depends on them.
 
-- :mod:`repro.accel.numpy_backend` -- pure vectorized NumPy, the
-  always-available **reference oracle**; every other backend must match
-  it bit-exactly (``tests/accel/`` enforces this);
-- :mod:`repro.accel.numba_backend` -- ``@njit(cache=True)`` compiled
-  loops, selected only when `numba <https://numba.pydata.org>`_ is
-  importable (the optional ``repro[accel]`` extra).
-
-Selection order:
-
-1. an explicit :func:`set_backend` call (tests, embedding code);
-2. the ``REPRO_ACCEL`` environment variable (``numpy`` or ``numba``);
-3. default: ``numpy``.
-
-Requesting ``numba`` without numba installed (or with a broken
-install) is *not* an error: the dispatcher silently falls back to the
-NumPy reference and records a single fallback event, which the engine
-surfaces once per run through its tracer (``accel_fallback``).  This
-keeps ``pip install repro`` dependency-light while letting
-``pip install 'repro[accel]'`` users opt into the compiled path.
-
-All kernels are pure functions of their array arguments (plus scalar
-shape/width parameters), so backend choice never affects results --
-only wall-clock speed.  Checkpoint/resume is backend-agnostic for the
-same reason.
+The module is self-contained (imports nothing from the rest of
+``repro``) so it stays a leaf package; the hash and packed-counter
+math here mirrors :mod:`repro.cbf.hashing` and
+:mod:`repro.cbf.counters` bit-for-bit, and
+``tests/accel/test_kernel_equivalence.py`` pins that equivalence
+against the originals (and every compressed-batch kernel against its
+expanded-stream reference) on randomized inputs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any
-
 import numpy as np
 
-from repro.accel import numpy_backend
+# splitmix64 constants (Steele, Lea, Flood 2014) -- must match
+# repro.cbf.hashing exactly.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64 = np.uint64
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
-#: Names accepted by :func:`set_backend` / ``REPRO_ACCEL``.
-BACKEND_NAMES = ("numpy", "numba")
-
-_active_name: str | None = None
-_active: Any = None
-_fallback_event: dict[str, str] | None = None
-
-
-def _resolve(name: str) -> tuple[str, Any]:
-    """Resolve a backend name to (actual_name, module), with fallback."""
-    global _fallback_event
-    if name == "numba":
-        try:
-            from repro.accel import numba_backend
-
-            return "numba", numba_backend
-        except Exception as exc:  # ImportError, or a broken numba install
-            _fallback_event = {
-                "requested": "numba",
-                "active": "numpy",
-                "reason": f"{type(exc).__name__}: {exc}",
-            }
-            return "numpy", numpy_backend
-    return "numpy", numpy_backend
-
-
-def set_backend(name: str) -> str:
-    """Select the kernel backend; returns the name actually activated.
-
-    ``"numba"`` may activate ``"numpy"`` when numba is unavailable (the
-    documented silent fallback); any other unknown name raises.
-    """
-    global _active_name, _active
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown accel backend {name!r}; valid: {BACKEND_NAMES}"
-        )
-    _active_name, _active = _resolve(name)
-    return _active_name
-
-
-def _ensure() -> Any:
-    global _active_name, _active, _fallback_event
-    if _active is None:
-        requested = (os.environ.get("REPRO_ACCEL") or "numpy").strip().lower()
-        if requested not in BACKEND_NAMES:
-            # A typo'd environment variable must not crash runs; note it
-            # through the same fallback channel and use the reference.
-            _fallback_event = {
-                "requested": requested,
-                "active": "numpy",
-                "reason": f"unknown REPRO_ACCEL value {requested!r}",
-            }
-            requested = "numpy"
-        _active_name, _active = _resolve(requested)
-    return _active
-
-
-def backend_name() -> str:
-    """Name of the active backend (resolving it on first use)."""
-    _ensure()
-    assert _active_name is not None
-    return _active_name
-
-
-def fallback_event() -> dict[str, str] | None:
-    """The one recorded backend-fallback event, if any (else None)."""
-    _ensure()
-    return dict(_fallback_event) if _fallback_event else None
+#: Tier codes (repro.memsim.pagetable: LOCAL_TIER=0, CXL_TIER=1).
+_LOCAL_TIER = 0
 
 
 # ---------------------------------------------------------------------------
-# kernel entry points (thin dispatchers; signatures shared by backends)
+# placement / traffic accounting
 # ---------------------------------------------------------------------------
 
 
@@ -124,10 +44,16 @@ def placement_counts(
 
     ``placement`` is the page table's int8 code array (``LOCAL_TIER=0``,
     ``CXL_TIER=1``, ``UNMAPPED=-1``); returns ``(n_local, n_cxl)`` where
-    ``n_cxl`` counts every non-local access (the engine's historical
-    accounting).  Out-of-range page ids raise ``IndexError``.
+    ``n_cxl`` counts every non-local access.  Out-of-range page ids
+    raise ``IndexError``.  The per-access reference that
+    :func:`compressed_placement_counts` (the engine's counting kernel)
+    is held to on the expanded stream.
     """
-    return _ensure().placement_counts(placement, page_ids, out)
+    n = page_ids.size
+    view = out[:n]
+    np.take(placement, page_ids, out=view)
+    n_local = int(np.count_nonzero(view == _LOCAL_TIER))
+    return n_local, n - n_local
 
 
 def placement_prefix(placement: np.ndarray, prefix: np.ndarray) -> None:
@@ -140,7 +66,9 @@ def placement_prefix(placement: np.ndarray, prefix: np.ndarray) -> None:
     placement array next changes (track
     ``PageTable.version`` to reuse it across batches).
     """
-    _ensure().placement_prefix(placement, prefix)
+    n = placement.size
+    prefix[0] = 0
+    np.cumsum(placement == _LOCAL_TIER, dtype=np.int64, out=prefix[1 : n + 1])
 
 
 def compressed_placement_counts(
@@ -156,88 +84,39 @@ def compressed_placement_counts(
     direct gather) and the ``(starts, counts)`` page runs via the
     placement prefix sum built by :func:`placement_prefix`: the local
     hits in ``[s, s+c)`` are ``prefix[s+c] - prefix[s]``.  ``prefix``
-    must describe the current ``placement`` contents.  Returns
+    must describe the current ``placement`` contents; it is read only
+    when there are runs, so a head-only batch may pass an empty array
+    and skip the O(pages) rebuild.  Returns
     ``(n_local, n_cxl)`` with ``n_cxl`` counting every non-local
     access, exactly like :func:`placement_counts` on the expanded
     stream.  Out-of-range pages raise ``IndexError``.
     """
-    return _ensure().compressed_placement_counts(
-        placement, prefix, head, starts, counts
-    )
+    n = placement.size
+    n_local = 0
+    total = 0
+    if starts.size:
+        ends = starts + counts
+        if int(starts.min()) < 0 or int(ends.max()) > n:
+            raise IndexError(
+                f"run pages out of range [0, {n}) "
+                f"(starts min {int(starts.min())}, ends max {int(ends.max())})"
+            )
+        n_local = int(prefix[ends].sum() - prefix[starts].sum())
+        total = int(counts.sum())
+    if head.size:
+        # LOCAL_TIER is 0, so local head hits are exactly the zeros;
+        # unmapped (-1) codes land in the non-local count, matching
+        # placement_counts on the expanded stream.
+        tiers = np.take(placement, head)
+        n_local += head.size - int(np.count_nonzero(tiers))
+        total += head.size
+    return n_local, total - n_local
 
 
-def blocked_indices(
-    keys: np.ndarray,
-    seed: int,
-    num_blocks: int,
-    counters_per_block: int,
-    num_hashes: int,
-) -> np.ndarray:
-    """Blocked-CBF slot indices, shape ``(len(keys), num_hashes)``.
-
-    One splitmix64 hash selects the 64-byte block, ``num_hashes``
-    further hashes select in-block slots (Lemire fold, no modulo bias).
-    """
-    return _ensure().blocked_indices(
-        keys, seed, num_blocks, counters_per_block, num_hashes
-    )
-
-
-def classic_indices(
-    keys: np.ndarray, num_hashes: int, num_slots: int, seed: int
-) -> np.ndarray:
-    """Kirsch--Mitzenmacher double-hashed slot indices ``(n, k)``."""
-    return _ensure().classic_indices(keys, num_hashes, num_slots, seed)
-
-
-def cbf_fused_update(
-    store: np.ndarray,
-    bits: int,
-    per_byte: int,
-    max_value: int,
-    idx: np.ndarray,
-    totals: np.ndarray,
-) -> np.ndarray:
-    """Fused conservative CBF increase + frequency readback.
-
-    For each row ``r`` of ``idx`` (the ``k`` counter slots of one
-    unique key): read the min counter, raise the row's counters to
-    ``min(min + totals[r], max_value)`` via scatter-max (duplicates
-    across rows resolve to the largest target), then read back the new
-    min.  Mutates ``store`` in place; returns the per-row new
-    frequencies (int64).  ``store`` is the packed backing array of a
-    :class:`repro.cbf.counters.PackedCounterArray` (uint8 for sub-byte
-    and 8-bit widths, uint16 for 16-bit).
-    """
-    return _ensure().cbf_fused_update(
-        store, bits, per_byte, max_value, idx, totals
-    )
-
-
-def gap_positions(
-    gaps: np.ndarray, pos: int, n: int, out: np.ndarray
-) -> tuple[int, int, int]:
-    """Expand geometric gaps into in-batch sample positions.
-
-    Positions are ``pos, pos+gaps[0], pos+gaps[0]+gaps[1], ...``; those
-    ``< n`` are written to ``out`` (which must hold ``len(gaps) + 1``
-    elements).  Returns ``(count, carry, last)``: ``count`` positions
-    written; ``carry`` = first position past the batch end minus ``n``
-    when the chain crossed it, else ``-1``; ``last`` = the final
-    position of the full chain (used to extend an uncrossed chain).
-    """
-    return _ensure().gap_positions(gaps, pos, n, out)
-
-
-def expand_runs(
-    starts: np.ndarray, counts: np.ndarray, out: np.ndarray
-) -> None:
-    """Expand ``(start, count)`` runs into per-page ids.
-
-    Writes ``starts[i], starts[i]+1, ..., starts[i]+counts[i]-1`` for
-    every run, concatenated, into ``out`` (sized ``counts.sum()``).
-    """
-    _ensure().expand_runs(starts, counts, out)
+# ---------------------------------------------------------------------------
+# run-compressed batch kernels (position gather, strided subsample,
+# weighted per-page counts, hint-fault detection)
+# ---------------------------------------------------------------------------
 
 
 def run_pages_at(
@@ -260,12 +139,40 @@ def run_pages_at(
 
     ``sorted_positions`` is a caller promise that ``positions`` is
     ascending (true for skip-sampled and strided position streams); the
-    backend may then split head from tail positions with slices instead
-    of boolean masks.  Passing it for unsorted positions is undefined.
+    kernel then splits head from tail positions with slices instead of
+    boolean masks.  Passing it for unsorted positions is undefined.
     """
-    return _ensure().run_pages_at(
-        head, starts, counts, offsets, positions, sorted_positions
-    )
+    n_head = head.size
+    n_total = n_head + (int(offsets[-1]) if offsets.size else 0)
+    if positions.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if sorted_positions:
+        lo, hi = int(positions[0]), int(positions[-1])
+    else:
+        lo, hi = int(positions.min()), int(positions.max())
+    if lo < 0 or hi >= n_total:
+        raise IndexError(
+            f"sample positions out of range [0, {n_total})"
+        )
+    out = np.empty(positions.size, dtype=np.int64)
+    if sorted_positions:
+        # Ascending positions split at n_head: slices replace the
+        # boolean masks and fancy gathers of the general path.
+        split = int(np.searchsorted(positions, n_head))
+        out[:split] = head[positions[:split]]
+        tail = positions[split:] - n_head
+        if tail.size:
+            run = np.searchsorted(offsets, tail, side="right")
+            out[split:] = starts[run] + tail - (offsets[run] - counts[run])
+        return out
+    in_head = positions < n_head
+    if in_head.any():
+        out[in_head] = head[positions[in_head]]
+    tail = positions[~in_head] - n_head
+    if tail.size:
+        run = np.searchsorted(offsets, tail, side="right")
+        out[~in_head] = starts[run] + tail - (offsets[run] - counts[run])
+    return out
 
 
 def strided_run_pages(
@@ -281,8 +188,9 @@ def strided_run_pages(
     at O(samples + runs) cost.  Feeds the recency policies' strided
     touched-set walks (AutoNUMA MGLRU / TPP reference-bit sampling).
     """
-    return _ensure().strided_run_pages(
-        head, starts, counts, offsets, stride, num_accesses
+    positions = np.arange(0, num_accesses, stride, dtype=np.int64)
+    return run_pages_at(
+        head, starts, counts, offsets, positions, sorted_positions=True
     )
 
 
@@ -302,7 +210,21 @@ def weighted_page_counts(
     1)`` on the expanded stream.  Pages outside ``[0, out.size)`` raise
     ``IndexError``.
     """
-    _ensure().weighted_page_counts(head, starts, counts, out)
+    n = out.size
+    if head.size:
+        if int(head.min()) < 0 or int(head.max()) >= n:
+            raise IndexError(f"head pages out of range [0, {n})")
+        out += np.bincount(head, minlength=n).astype(np.int64)
+    if starts.size:
+        ends = starts + counts
+        if int(starts.min()) < 0 or int(ends.max()) > n:
+            raise IndexError(f"run pages out of range [0, {n})")
+        # Difference-domain histogram: +1 at each run start, -1 one
+        # past its end, cumulative sum yields per-page coverage counts.
+        delta = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(delta, starts, 1)
+        np.add.at(delta, ends, -1)
+        out += np.cumsum(delta[:n])
 
 
 def hint_faults(
@@ -322,4 +244,264 @@ def hint_faults(
     in-range filter.  Cost is O(runs log U + faults) with U the
     currently-unmapped set, not O(accesses).
     """
-    return _ensure().hint_faults(unmap_time, head, starts, counts)
+    total = unmap_time.size
+    parts: list[np.ndarray] = []
+    if head.size:
+        h = head[(head >= 0) & (head < total)]
+        if h.size:
+            h = h[unmap_time[h] >= 0.0]
+            if h.size:
+                parts.append(h.astype(np.int64, copy=False))
+    if starts.size:
+        mask = unmap_time >= 0.0
+        # Candidate pages are the currently-unmapped ones each run
+        # covers.  A prefix sum of the unmapped mask gives each page's
+        # rank in the sorted unmapped set, so both run boundaries
+        # become O(1) gathers (uprefix[p] = #unmapped pages below p);
+        # expanding the resulting rank runs is then O(hits).  Clipping
+        # run ends to [0, total] drops out-of-range pages, exactly as
+        # a binary search against the unmapped set would.
+        uprefix = np.empty(total + 1, dtype=np.int64)
+        uprefix[0] = 0
+        np.cumsum(mask, dtype=np.int64, out=uprefix[1:])
+        if uprefix[total]:
+            lo = uprefix[np.clip(starts, 0, total)]
+            hi = uprefix[np.clip(starts + counts, 0, total)]
+            seg_counts = hi - lo
+            m = int(seg_counts.sum())
+            if m:
+                unmapped = np.nonzero(mask)[0]
+                idx = np.empty(m, dtype=np.int64)
+                expand_runs(lo, seg_counts, idx)
+                parts.append(unmapped[idx])
+    if not parts:
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+    cand = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # First occurrence of each page in program order (head precedes the
+    # runs; within a run ascending page order is program order).
+    first_idx = np.unique(cand, return_index=True)[1]
+    faulted = cand[np.sort(first_idx)]
+    times = unmap_time[faulted].copy()
+    unmap_time[faulted] = -1.0  # PTE restored by the fault
+    return faulted, times
+
+
+# ---------------------------------------------------------------------------
+# hashing
+# ---------------------------------------------------------------------------
+
+
+def _mix_rows(keys: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """splitmix64 of ``keys`` under each seed: shape (len(seeds), n).
+
+    Row ``i`` equals ``repro.cbf.hashing.splitmix64(keys, seeds[i])``;
+    stacking the seeds turns k+1 small vector passes into one, which is
+    most of the win on the short key arrays of the demotion scan.
+    """
+    with np.errstate(over="ignore"):
+        z = keys[None, :] + (seeds * _GOLDEN + _GOLDEN)[:, None]
+        z = (z ^ (z >> _U64(30))) * _MIX1
+        z = (z ^ (z >> _U64(27))) * _MIX2
+        return z ^ (z >> _U64(31))
+
+
+def _fold(hashes: np.ndarray, upper: int) -> np.ndarray:
+    """Lemire multiply-shift fold of 64-bit hashes onto [0, upper)."""
+    hi = hashes >> _U64(32)
+    lo = hashes & _U64(0xFFFFFFFF)
+    u = _U64(upper)
+    with np.errstate(over="ignore"):
+        top = hi * u + ((lo * u) >> _U64(32))
+    return (top >> _U64(32)).astype(np.int64)
+
+
+def blocked_indices(
+    keys: np.ndarray,
+    seed: int,
+    num_blocks: int,
+    counters_per_block: int,
+    num_hashes: int,
+) -> np.ndarray:
+    """Blocked-CBF slot indices, shape ``(len(keys), num_hashes)``.
+
+    One splitmix64 hash selects the 64-byte block, ``num_hashes``
+    further hashes select in-block slots (Lemire fold, no modulo bias).
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    seeds = np.empty(num_hashes + 1, dtype=np.uint64)
+    seeds[0] = _U64(seed & _MASK64)
+    for i in range(num_hashes):
+        seeds[1 + i] = _U64((seed + 101 + i) & _MASK64)
+    hashes = _mix_rows(keys, seeds)  # (k+1, n)
+    base = _fold(hashes[0], num_blocks) * np.int64(counters_per_block)
+    out = np.empty((keys.size, num_hashes), dtype=np.int64)
+    for i in range(num_hashes):
+        np.add(base, _fold(hashes[1 + i], counters_per_block), out=out[:, i])
+    return out
+
+
+def classic_indices(
+    keys: np.ndarray, num_hashes: int, num_slots: int, seed: int
+) -> np.ndarray:
+    """Kirsch--Mitzenmacher double-hashed slot indices ``(n, k)``."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    seeds = np.array(
+        [_U64(seed & _MASK64), _U64((seed + 1) & _MASK64)], dtype=np.uint64
+    )
+    hashes = _mix_rows(keys, seeds)
+    h1 = hashes[0]
+    h2 = hashes[1] | _U64(1)
+    steps = np.arange(num_hashes, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        combined = h1[:, None] + steps[None, :] * h2[:, None]
+    return (combined % _U64(num_slots)).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# packed-counter CBF update
+# ---------------------------------------------------------------------------
+
+
+def _gather(
+    store: np.ndarray, bits: int, per_byte: int, max_value: int, idx: np.ndarray
+) -> np.ndarray:
+    if bits in (8, 16):
+        return store[idx].astype(np.int64)
+    byte_idx = idx // per_byte
+    shift = ((idx % per_byte) * bits).astype(np.uint8)
+    return ((store[byte_idx] >> shift) & np.uint8(max_value)).astype(np.int64)
+
+
+def _scatter_max(
+    store: np.ndarray,
+    bits: int,
+    per_byte: int,
+    max_value: int,
+    idx: np.ndarray,
+    vals: np.ndarray,
+) -> None:
+    if bits == 8:
+        np.maximum.at(store, idx, vals.astype(np.uint8))
+        return
+    if bits == 16:
+        np.maximum.at(store, idx, vals.astype(np.uint16))
+        return
+    # Sub-byte widths, one in-byte lane per pass (repro.cbf.counters
+    # semantics): candidates for one byte differ only in the target
+    # lane, so the byte-wise maximum equals the lane-wise maximum.
+    positions = idx % per_byte
+    mask = np.uint8(max_value)
+    for pos in range(per_byte):
+        sel = positions == pos
+        if not sel.any():
+            continue
+        byte_idx = idx[sel] // per_byte
+        shift = np.uint8(pos * bits)
+        keep = store[byte_idx] & np.uint8(~(int(mask) << shift) & 0xFF)
+        candidate = keep | (vals[sel].astype(np.uint8) << shift)
+        np.maximum.at(store, byte_idx, candidate)
+
+
+def cbf_fused_update(
+    store: np.ndarray,
+    bits: int,
+    per_byte: int,
+    max_value: int,
+    idx: np.ndarray,
+    totals: np.ndarray,
+) -> np.ndarray:
+    """Fused conservative CBF increase + frequency readback.
+
+    For each row ``r`` of ``idx`` (the ``k`` counter slots of one
+    unique key): read the min counter, raise the row's counters to
+    ``min(min + totals[r], max_value)`` via scatter-max (duplicates
+    across rows resolve to the largest target), then read back the new
+    min.  Mutates ``store`` in place; returns the per-row new
+    frequencies (int64).  ``store`` is the packed backing array of a
+    :class:`repro.cbf.counters.PackedCounterArray` (uint8 for sub-byte
+    and 8-bit widths, uint16 for 16-bit).
+    """
+    mins = _gather(store, bits, per_byte, max_value, idx).min(axis=1)
+    target = np.minimum(mins + totals, max_value)
+    flat = idx.ravel()
+    _scatter_max(
+        store,
+        bits,
+        per_byte,
+        max_value,
+        flat,
+        np.broadcast_to(target[:, None], idx.shape).ravel(),
+    )
+    return _gather(store, bits, per_byte, max_value, idx).min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# skip-sampler gap expansion
+# ---------------------------------------------------------------------------
+
+
+def gap_positions(
+    gaps: np.ndarray, pos: int, n: int, out: np.ndarray
+) -> tuple[int, int, int]:
+    """Expand geometric gaps into in-batch sample positions.
+
+    Positions are ``pos, pos+gaps[0], pos+gaps[0]+gaps[1], ...``; those
+    ``< n`` are written to ``out`` (which must hold ``len(gaps) + 1``
+    elements).  Returns ``(count, carry, last)``: ``count`` positions
+    written; ``carry`` = first position past the batch end minus ``n``
+    when the chain crossed it, else ``-1``; ``last`` = the final
+    position of the full chain (used to extend an uncrossed chain).
+    """
+    positions = out[: gaps.size + 1]
+    positions[0] = pos
+    np.cumsum(gaps, out=positions[1:])
+    if pos:
+        positions[1:] += pos
+    count = int(np.searchsorted(positions, n, side="left"))
+    if count < positions.size:
+        carry = int(positions[count]) - n
+    else:
+        carry = -1
+    return count, carry, int(positions[-1])
+
+
+# ---------------------------------------------------------------------------
+# run expansion (workload access streams)
+# ---------------------------------------------------------------------------
+
+
+def expand_runs(
+    starts: np.ndarray, counts: np.ndarray, out: np.ndarray
+) -> None:
+    """Expand ``(start, count)`` runs into per-page ids.
+
+    Writes ``starts[i], starts[i]+1, ..., starts[i]+counts[i]-1`` for
+    every run, concatenated, into ``out`` (sized ``counts.sum()``).
+    """
+    if out.size == 0:
+        return
+    if counts.size and int(counts.min()) == 0:
+        # The boundary-scatter below needs strictly increasing run
+        # ends; empty runs contribute nothing, so drop them.
+        keep = counts > 0
+        starts = starts[keep]
+        counts = counts[keep]
+    ends = np.cumsum(counts)
+    # Difference-domain expansion: within a run consecutive elements
+    # differ by 1, and at each run boundary the difference jumps to the
+    # next start minus the previous run's last element.  One fill, one
+    # small scatter and one cumsum -- no repeat, no arange.
+    out[:] = 1
+    out[0] = starts[0]
+    if starts.size > 1:
+        # next start minus the previous run's last value (start+count-1)
+        out[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
+    np.cumsum(out, out=out)
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation (always ``"numpy"``)."""
+    return "numpy"

@@ -25,19 +25,16 @@ def page_access_counts(
 ) -> np.ndarray:
     """True per-page access counts over a recorded stream.
 
-    Run-compressed batches are histogrammed directly from their runs
+    Batches are histogrammed from their compressed form
     (``weighted_page_counts``: a head bincount plus a difference-domain
     run sweep) -- O(runs + pages) per batch instead of O(accesses), and
     the expanded stream is never materialized.
     """
     counts = np.zeros(footprint_pages, dtype=np.int64)
     for batch in batches:
-        if batch.run_starts is not None:
-            accel.weighted_page_counts(
-                batch.head_page_ids, batch.run_starts, batch.run_counts, counts
-            )
-        else:
-            np.add.at(counts, batch.page_ids, 1)
+        accel.weighted_page_counts(
+            batch.head_page_ids, batch.run_starts, batch.run_counts, counts
+        )
     return counts
 
 

@@ -97,17 +97,13 @@ def record_stream(
             "label": batch.label,
             "bytes_per_access": batch.bytes_per_access,
         }
-        if batch.run_starts is not None:
-            for field, arr in (
-                ("head_page_ids", batch.head_page_ids),
-                ("run_starts", batch.run_starts),
-                ("run_counts", batch.run_counts),
-            ):
-                record[field] = len(arrays)
-                arrays.append(arr)
-        else:
-            record["page_ids"] = len(arrays)
-            arrays.append(batch.page_ids)
+        for field, arr in (
+            ("head_page_ids", batch.head_page_ids),
+            ("run_starts", batch.run_starts),
+            ("run_counts", batch.run_counts),
+        ):
+            record[field] = len(arrays)
+            arrays.append(arr)
         records.append(record)
     else:
         exhausted = next(stream, None) is None
@@ -337,25 +333,16 @@ class SharedStreamWorkload:
     def batches(self) -> Iterator[AccessBatch]:
         views = self._handle.attach()
         for record in self._handle.records:
-            if "page_ids" in record:
-                yield AccessBatch(
-                    page_ids=views[record["page_ids"]],
-                    num_ops=record["num_ops"],
-                    cpu_ns=record["cpu_ns"],
-                    label=record["label"],
-                    bytes_per_access=record["bytes_per_access"],
-                )
-            else:
-                yield AccessBatch(
-                    page_ids=None,
-                    num_ops=record["num_ops"],
-                    cpu_ns=record["cpu_ns"],
-                    label=record["label"],
-                    bytes_per_access=record["bytes_per_access"],
-                    head_page_ids=views[record["head_page_ids"]],
-                    run_starts=views[record["run_starts"]],
-                    run_counts=views[record["run_counts"]],
-                )
+            yield AccessBatch(
+                page_ids=None,
+                num_ops=record["num_ops"],
+                cpu_ns=record["cpu_ns"],
+                label=record["label"],
+                bytes_per_access=record["bytes_per_access"],
+                head_page_ids=views[record["head_page_ids"]],
+                run_starts=views[record["run_starts"]],
+                run_counts=views[record["run_counts"]],
+            )
         # Ending here is exact, not a truncation: the executor records
         # precisely the cell's ``max_batches`` budget, and the engine
         # pulls one batch past its budget before breaking -- a finite

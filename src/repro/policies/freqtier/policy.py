@@ -40,11 +40,6 @@ class FreqTier(TieringPolicy):
 
     name = "FreqTier"
 
-    # FreqTier consumes only the engine's (n_local, n_cxl) split and
-    # PEBS position samples, so run-compressed batches are serviced
-    # without expanding the access stream (tiers arrives as None).
-    needs_access_stream = False
-
     def __init__(self, config: FreqTierConfig | None = None, seed: int = 0):
         super().__init__()
         self.config = config or FreqTierConfig()
@@ -177,24 +172,18 @@ class FreqTier(TieringPolicy):
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         assert self.pebs is not None and self.intensity is not None
         self._batch_index += 1
-        n_local, n_cxl = self._batch_counts(batch, tiers, counts)
-        self.intensity.count_accesses(n_local, n_cxl)
+        self.intensity.count_accesses(*counts)
 
         overhead = self._drain_retries(now_ns)
         if self.intensity.sampling_active:
             self.pebs.set_level(self.intensity.level)
             before = self.pebs.total_samples
-            self.pebs.observe(
-                batch,
-                tiers,
-                placement=self.machine.page_table.placement_view(),
-            )
+            self.pebs.observe(batch)
             overhead += self.pebs.overhead_ns(self.pebs.total_samples - before)
             # Drain at the configured batch size -- or when the ring is
             # full, whichever comes first (a ring smaller than the

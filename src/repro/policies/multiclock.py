@@ -25,10 +25,6 @@ class MultiClock(TieringPolicy):
     """Two-level (once vs many) access classification."""
 
     name = "MULTI-CLOCK"
-    #: PEBS samples by access position, so run-compressed batches are
-    #: sampled via ``pages_at`` without expansion.  Bit-identical: the
-    #: RNG draws depend only on the access count and sampling period.
-    needs_access_stream = False
 
     def __init__(
         self,
@@ -80,16 +76,13 @@ class MultiClock(TieringPolicy):
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         assert self.pebs is not None and self._seen is not None
         overhead = 0.0
         before = self.pebs.total_samples
-        self.pebs.observe(
-            batch, tiers, placement=self.machine.page_table.placement_view()
-        )
+        self.pebs.observe(batch)
         overhead += self.pebs.overhead_ns(self.pebs.total_samples - before)
         if self.pebs.pending_samples >= self.sample_batch_size:
             overhead += self._process_samples()

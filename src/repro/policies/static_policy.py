@@ -8,8 +8,6 @@ much of a policy's win comes from migration at all.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.policies.base import TieringPolicy
 from repro.sampling.events import AccessBatch
 
@@ -18,15 +16,11 @@ class StaticNoMigration(TieringPolicy):
     """No-op policy over the default first-touch placement."""
 
     name = "Static"
-    #: No-op hook: never reads the stream, so compressed batches need
-    #: no expansion at all.
-    needs_access_stream = False
 
     def on_batch(
         self,
         batch: AccessBatch,
-        tiers: np.ndarray | None,
         now_ns: float,
-        counts: tuple[int, int] | None = None,
+        counts: tuple[int, int],
     ) -> float:
         return 0.0

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.engine import SimulationEngine
 from repro.core.metrics import ExperimentResult
 from repro.memsim.machine import Machine, MachineConfig
@@ -109,8 +107,6 @@ class MultiHostSimulation:
         }
 
     def _one_round(self) -> None:
-        from repro.memsim.pagetable import LOCAL_TIER
-
         for host in self._hosts:
             if host.exhausted:
                 continue
@@ -119,35 +115,7 @@ class MultiHostSimulation:
             except StopIteration:
                 host.exhausted = True
                 continue
-            machine = host.machine
-            engine = host.engine
-            tiers = machine.placement_of(batch.page_ids)
-            n_local = int(np.count_nonzero(tiers == LOCAL_TIER))
-            n_cxl = batch.num_accesses - n_local
-            machine.traffic.record_accesses(n_local, n_cxl)
-            migrated_before = machine.traffic.pages_migrated
-            overhead = host.spec.policy.on_batch(
-                batch, tiers, engine.now_ns, counts=(n_local, n_cxl)
-            )
-            migrated = machine.traffic.pages_migrated - migrated_before
-            cost = machine.cost_model.batch_cost(
-                cpu_ns=batch.cpu_ns,
-                local_accesses=n_local,
-                cxl_accesses=n_cxl,
-                pages_migrated=migrated,
-                overhead_ns=overhead,
-                bytes_per_access=batch.bytes_per_access,
-            )
-            engine.metrics.record_batch(
-                start_ns=engine.now_ns,
-                cost=cost,
-                num_ops=batch.num_ops,
-                local_accesses=n_local,
-                cxl_accesses=n_cxl,
-                pages_migrated=migrated,
-                label=batch.label,
-            )
-            engine.now_ns += cost.total_ns
+            host.engine.step(batch)
             host.batches_run += 1
 
     # -- pool management --------------------------------------------------------

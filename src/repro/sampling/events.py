@@ -8,6 +8,10 @@ import numpy as np
 
 from repro import accel
 
+#: Shared empty run arrays of batches built from explicit page ids.
+_NO_RUNS = np.empty(0, dtype=np.int64)
+_NO_RUNS.flags.writeable = False
+
 
 class AccessBatch:
     """One batch of application memory activity.
@@ -15,21 +19,25 @@ class AccessBatch:
     The workload generators emit these; the engine services them
     against the machine and shows them to the policy's sampler.
 
-    Two construction forms exist:
+    Two construction forms exist, stored the same way:
 
-    - **explicit**: ``page_ids`` carries the page id of every
-      L3-missing access, in program order.  Stored as int64, except
-      that int32 input is kept as-is (generators with sub-2**31
-      address spaces emit int32 streams; every consumer is
-      width-agnostic).
     - **run-compressed**: ``page_ids=None`` plus ``head_page_ids``
       (single-page accesses, e.g. index lookups) and aligned
       ``run_starts``/``run_counts`` arrays (contiguous page runs).
       The program order is defined as the head first, then the runs
-      expanded in order.  Hot-path consumers (the engine's fused tier
-      accounting, position-based sampling via :meth:`pages_at`) read
+      expanded in order.  Hot-path consumers (the engine's tier
+      counting, position-based sampling via :meth:`pages_at`) read
       the compressed fields directly; :attr:`page_ids` materializes
       the expanded stream lazily for everyone else.
+    - **explicit**: ``page_ids`` carries the page id of every
+      L3-missing access, in program order.  Stored as a compressed
+      batch with head pages only (``head_page_ids`` is ``page_ids``,
+      the run arrays are empty), so :attr:`page_ids` and
+      :meth:`pages_at` stay zero-copy.
+
+    Page ids are stored as int64, except that int32 input is kept
+    as-is (generators with sub-2**31 address spaces emit int32
+    streams; every consumer is width-agnostic).
 
     Attributes
     ----------
@@ -83,12 +91,13 @@ class AccessBatch:
         self.bytes_per_access = bytes_per_access
         self._run_offsets: np.ndarray | None = None
         if page_ids is None:
-            if head_page_ids is None or run_starts is None or run_counts is None:
+            compressed = (head_page_ids, run_starts, run_counts)
+            if any(arr is None for arr in compressed):
                 raise ValueError(
                     "either page_ids or the full compressed form "
                     "(head_page_ids, run_starts, run_counts) is required"
                 )
-            self.head_page_ids = np.asarray(head_page_ids)
+            head = np.asarray(head_page_ids)
             self.run_starts = np.asarray(run_starts, dtype=np.int64)
             self.run_counts = np.asarray(run_counts, dtype=np.int64)
             if self.run_starts.shape != self.run_counts.shape:
@@ -96,19 +105,18 @@ class AccessBatch:
                     f"run_starts and run_counts must align: "
                     f"{self.run_starts.shape} vs {self.run_counts.shape}"
                 )
-            self._page_ids: np.ndarray | None = None
-            self._num_accesses = int(self.head_page_ids.size) + int(
-                self.run_counts.sum()
-            )
         else:
-            arr = np.asarray(page_ids)
-            if arr.dtype != np.int32:
-                arr = np.asarray(arr, dtype=np.int64)
-            self._page_ids = arr
-            self.head_page_ids = None
-            self.run_starts = None
-            self.run_counts = None
-            self._num_accesses = int(arr.size)
+            head = np.asarray(page_ids)
+            self.run_starts = _NO_RUNS
+            self.run_counts = _NO_RUNS
+        if head.dtype != np.int32:
+            head = np.asarray(head, dtype=np.int64)
+        self.head_page_ids = head
+        # A batch without runs is its own expansion.
+        self._page_ids: np.ndarray | None = (
+            None if self.run_starts.size else head
+        )
+        self._num_accesses = int(head.size) + int(self.run_counts.sum())
         if self.num_ops < 0:
             raise ValueError(f"num_ops must be >= 0, got {self.num_ops}")
         if self.cpu_ns < 0:
@@ -146,11 +154,13 @@ class AccessBatch:
         O(len(positions)) on compressed batches: head positions are a
         direct gather, tail positions map onto their run by binary
         search over the run-length prefix (the ``run_pages_at``
-        kernel).  Plain gather otherwise.  Used by position-based
-        samplers so sampling a handful of accesses never forces stream
-        materialization.  ``assume_sorted`` promises the positions are
-        ascending (skip samplers emit them that way), unlocking a
-        slice-based gather; do not pass it for unordered positions.
+        kernel).  A plain gather when the expansion exists (a batch
+        without runs, or one whose ``page_ids`` was read).  Used by
+        position-based samplers so sampling a handful of accesses
+        never forces stream materialization.  ``assume_sorted``
+        promises the positions are ascending (skip samplers emit them
+        that way), unlocking a slice-based gather; do not pass it for
+        unordered positions.
         """
         if self._page_ids is not None:
             return self._page_ids[positions]
@@ -167,12 +177,10 @@ class AccessBatch:
         """Pages at positions ``0, stride, 2*stride, ...``.
 
         Equals ``page_ids[::stride]`` (widened to int64) but costs
-        O(samples + runs) on compressed batches -- the recency
-        policies' touched-set walks use it so their accessed-bit
-        subsampling never expands the stream.
+        O(samples + runs) -- the recency policies' touched-set walks
+        use it so their accessed-bit subsampling never expands the
+        stream.
         """
-        if self.run_starts is None:
-            return self.page_ids[::stride]
         return accel.strided_run_pages(
             self.head_page_ids,
             self.run_starts,
@@ -183,40 +191,28 @@ class AccessBatch:
         )
 
     def release_expanded(self) -> None:
-        """Drop a compressed batch's cached ``page_ids`` expansion.
+        """Drop a cached run expansion of ``page_ids``.
 
         The engine calls this after each serviced batch: workload
         generators keep a reference to the batch they yielded, so a
         cached expansion would otherwise stay reachable for the rest
-        of the run.  Recomputed (bit-identically) on next touch.
+        of the run.  Recomputed (bit-identically) on next touch.  A
+        batch without runs keeps its page ids: they are the head.
         """
-        if self.head_page_ids is not None:
+        if self.run_starts.size:
             self._page_ids = None
 
 
 @dataclass
 class SampleBatch:
-    """Access samples delivered to a policy by its sampler.
-
-    ``tiers[i]`` is the tier code of ``page_ids[i]`` at sampling time,
-    so policies can compute the sampled local-DRAM hit ratio without a
-    second page-table walk (PEBS distinguishes local vs CXL events via
-    separate hardware counters).
-    """
+    """Access samples delivered to a policy by its sampler."""
 
     page_ids: np.ndarray
-    tiers: np.ndarray
     #: Samples dropped because the ring buffer overflowed.
     lost: int = 0
 
     def __post_init__(self) -> None:
         self.page_ids = np.asarray(self.page_ids, dtype=np.int64)
-        self.tiers = np.asarray(self.tiers, dtype=np.int64)
-        if self.page_ids.shape != self.tiers.shape:
-            raise ValueError(
-                f"page_ids and tiers must align: {self.page_ids.shape} "
-                f"vs {self.tiers.shape}"
-            )
 
     @property
     def num_samples(self) -> int:
@@ -224,7 +220,4 @@ class SampleBatch:
 
     @staticmethod
     def empty() -> "SampleBatch":
-        return SampleBatch(
-            page_ids=np.zeros(0, dtype=np.int64),
-            tiers=np.zeros(0, dtype=np.int64),
-        )
+        return SampleBatch(page_ids=np.zeros(0, dtype=np.int64))

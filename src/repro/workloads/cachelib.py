@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import accel
 from repro.memsim.machine import Machine
 from repro.sampling.events import AccessBatch
 from repro.workloads.spec import Workload

@@ -1,16 +1,12 @@
-"""Backend choice must never change experiment results.
+"""The batch form must never change experiment results.
 
-Two layers of evidence:
-
-- **Always on:** the engine's run-compressed fast path (prefix-sum
-  counting, position-sampled observers, compressed hint faults -- no
-  stream expansion anywhere) must match the expanded-stream path
-  bit-for-bit for every policy that opts out of stream
-  materialization, which is all of them.
-- **With numba installed:** full experiment cells -- 8 policies x 3
-  seeds -- must produce byte-identical results under the compiled
-  backend and the NumPy reference (``tests/accel/test_numba_equivalence``
-  pins individual kernels; this pins their composition).
+Workloads emit run-compressed batches (a head of single pages plus page
+runs); an explicit batch is stored as a compressed batch with head
+pages only.  Every consumer -- the engine's tier counting, PEBS position
+sampling, compressed hint faults, strided touched sets, run-weighted
+histograms -- reads both through the same kernels, so the CDN stream
+and the same batches rebuilt from their expanded ``page_ids`` must give
+identical results for every policy.
 """
 
 from __future__ import annotations
@@ -19,103 +15,80 @@ import dataclasses
 
 import pytest
 
-from repro import accel, policies
 from repro.core.config import ExperimentConfig
 from repro.core.parallel import PolicySpec, WorkloadSpec
 from repro.core.runner import run_experiment
+from repro.sampling.events import AccessBatch
 
 WORKLOAD = WorkloadSpec("cdn", slab_pages=2_048, ops_per_batch=2_000, seed=7)
+#: 80 batches: enough for every sampling policy to drain samples and
+#: migrate (at 25 only the hint-fault policies moved a page).
 CONFIG = ExperimentConfig(
-    local_fraction=0.12, ratio_label="1:16", max_batches=25, seed=7
+    local_fraction=0.12, ratio_label="1:16", max_batches=80, seed=7
 )
 
+#: Every registered policy class.
 POLICIES = (
-    "freqtier",
-    "hybridtier",
+    "alllocal",
     "autonuma",
-    "tpp",
-    "multiclock",
-    "hemem",
     "damon",
+    "freqtier",
+    "hemem",
+    "hybridtier",
+    "multiclock",
     "static",
+    "tpp",
 )
 SEEDS = (1, 2, 3)
 
-#: Registry name -> class whose ``needs_access_stream`` flag forces the
-#: expanded reference path when monkeypatched to True.
-POLICY_CLASSES = {
-    "freqtier": policies.FreqTier,
-    "hybridtier": policies.HybridTier,
-    "autonuma": policies.AutoNUMA,
-    "tpp": policies.TPP,
-    "multiclock": policies.MultiClock,
-    "hemem": policies.HeMem,
-    "damon": policies.DAMONRegion,
-    "static": policies.StaticNoMigration,
-    "alllocal": policies.AllLocal,
-}
+
+class _ExplicitBatches:
+    """The wrapped workload, with each batch rebuilt from ``page_ids``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.seed = inner.seed
+
+    @property
+    def footprint_pages(self) -> int:
+        return self._inner.footprint_pages
+
+    def setup(self, machine) -> None:
+        self._inner.setup(machine)
+
+    def describe(self) -> dict:
+        return self._inner.describe()
+
+    def batches(self):
+        for batch in self._inner.batches():
+            assert batch.run_starts.size, "the CDN stream must carry runs"
+            yield AccessBatch(
+                batch.page_ids,
+                batch.num_ops,
+                batch.cpu_ns,
+                batch.label,
+                batch.bytes_per_access,
+            )
 
 
 def _as_dict(result):
     return dataclasses.asdict(result)
 
 
-def test_every_policy_opts_out_of_stream_materialization():
-    """The whole registry runs compressed batches without expansion."""
-    for name, cls in POLICY_CLASSES.items():
-        assert cls.needs_access_stream is False, name
-
-
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("policy", sorted(POLICY_CLASSES))
-def test_compressed_path_matches_expanded_path(policy, seed, monkeypatch):
-    """Compressed fast path == expanded reference path, per policy.
-
-    The compressed run exercises prefix-sum tier counting plus the
-    policy's compressed observers (``pages_at`` sampling, compressed
-    hint faults, strided touched sets); forcing
-    ``needs_access_stream=True`` makes the engine materialize the
-    stream and gather per-access tiers, sending every observer down its
-    expanded reference path.  Everything downstream (counts, sampling,
-    migrations, costs) must be unaffected.
-    """
+@pytest.mark.parametrize("policy", POLICIES)
+def test_compressed_stream_matches_explicit_batches(policy, seed):
     compressed = run_experiment(WORKLOAD, PolicySpec(policy, seed=seed), CONFIG)
-    monkeypatch.setattr(POLICY_CLASSES[policy], "needs_access_stream", True)
-    expanded = run_experiment(WORKLOAD, PolicySpec(policy, seed=seed), CONFIG)
-    assert _as_dict(compressed) == _as_dict(expanded)
+    explicit = run_experiment(
+        lambda: _ExplicitBatches(WORKLOAD()),
+        PolicySpec(policy, seed=seed),
+        CONFIG,
+    )
+    assert _as_dict(compressed) == _as_dict(explicit)
 
 
 def test_engine_results_deterministic_across_runs():
     first = run_experiment(WORKLOAD, PolicySpec("freqtier", seed=2), CONFIG)
     second = run_experiment(WORKLOAD, PolicySpec("freqtier", seed=2), CONFIG)
     assert _as_dict(first) == _as_dict(second)
-
-
-def test_fallback_event_is_schema_valid():
-    """A numba request without numba must yield a traceable event.
-
-    The engine emits the recorded fallback through its tracer at
-    setup; the event type must therefore exist in the trace schema or
-    every traced run under ``REPRO_ACCEL=numba`` would crash on the
-    very machine the fallback is for.
-    """
-    from repro.obs.events import validate_event
-
-    if accel.set_backend("numba") == "numba":
-        pytest.skip("numba installed; no fallback occurs")
-    event = accel.fallback_event()
-    assert event is not None
-    assert event["active"] == "numpy"
-    validate_event({"type": "accel_fallback", "t_ns": 0.0, "seq": 0, **event})
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("policy", POLICIES)
-def test_backends_produce_identical_results(policy, seed):
-    pytest.importorskip("numba")
-    spec = PolicySpec(policy, seed=seed)
-    accel.set_backend("numpy")
-    reference = run_experiment(WORKLOAD, spec, CONFIG)
-    assert accel.set_backend("numba") == "numba"
-    compiled = run_experiment(WORKLOAD, spec, CONFIG)
-    assert _as_dict(compiled) == _as_dict(reference)

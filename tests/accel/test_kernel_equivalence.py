@@ -1,12 +1,10 @@
-"""The NumPy backend is the oracle: pin it against the originals.
+"""Pin the :mod:`repro.accel` kernels against the originals.
 
-Every kernel in :mod:`repro.accel.numpy_backend` restates math that
-also exists elsewhere in the tree (``repro.cbf.hashing``,
-``repro.cbf.counters`` semantics) or replaces a straightforward
-construction (expanded-stream counting, ``np.repeat`` run expansion).
-These tests hold the restatements to the originals on randomized
-inputs, so the reference backend stays a trustworthy equivalence
-target for compiled backends.
+Every kernel restates math that also exists elsewhere in the tree
+(``repro.cbf.hashing``, ``repro.cbf.counters`` semantics) or replaces
+a straightforward construction (expanded-stream counting,
+``np.repeat`` run expansion, first-occurrence hint faults).  These
+tests hold the restatements to the originals on randomized inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accel import numpy_backend as nb
+from repro import accel
 from repro.cbf.counters import PackedCounterArray
 from repro.cbf.hashing import derive_indices, fold_to_range, splitmix64
 
@@ -47,7 +45,7 @@ def test_placement_counts_matches_naive(seed):
     )
     page_ids = rng.integers(0, n_pages, size=10_000, dtype=np.int64)
     out = np.empty(page_ids.size, dtype=np.int8)
-    n_local, n_cxl = nb.placement_counts(placement, page_ids, out)
+    n_local, n_cxl = accel.placement_counts(placement, page_ids, out)
     expected = placement[page_ids]
     np.testing.assert_array_equal(out, expected)
     assert n_local == int(np.count_nonzero(expected == 0))
@@ -63,23 +61,23 @@ def test_compressed_counts_match_expanded_stream(seed):
     head = rng.integers(0, n_pages, size=150, dtype=np.int64)
 
     prefix = np.empty(n_pages + 1, dtype=np.int64)
-    nb.placement_prefix(placement, prefix)
-    n_local, n_cxl = nb.compressed_placement_counts(
+    accel.placement_prefix(placement, prefix)
+    n_local, n_cxl = accel.compressed_placement_counts(
         placement, prefix, head, starts, counts
     )
 
     expanded = np.concatenate([head, _expand(starts, counts)])
     out = np.empty(expanded.size, dtype=np.int8)
-    exp_local, exp_cxl = nb.placement_counts(placement, expanded, out)
+    exp_local, exp_cxl = accel.placement_counts(placement, expanded, out)
     assert (n_local, n_cxl) == (exp_local, exp_cxl)
 
 
 def test_compressed_counts_empty_batch():
     placement = np.zeros(8, dtype=np.int8)
     prefix = np.empty(9, dtype=np.int64)
-    nb.placement_prefix(placement, prefix)
+    accel.placement_prefix(placement, prefix)
     empty = np.empty(0, dtype=np.int64)
-    assert nb.compressed_placement_counts(
+    assert accel.compressed_placement_counts(
         placement, prefix, empty, empty, empty
     ) == (0, 0)
 
@@ -87,10 +85,10 @@ def test_compressed_counts_empty_batch():
 def test_compressed_counts_out_of_range_raises():
     placement = np.zeros(8, dtype=np.int8)
     prefix = np.empty(9, dtype=np.int64)
-    nb.placement_prefix(placement, prefix)
+    accel.placement_prefix(placement, prefix)
     empty = np.empty(0, dtype=np.int64)
     with pytest.raises(IndexError):
-        nb.compressed_placement_counts(
+        accel.compressed_placement_counts(
             placement,
             prefix,
             empty,
@@ -102,7 +100,7 @@ def test_compressed_counts_out_of_range_raises():
 def test_placement_prefix_definition():
     placement = np.array([0, 1, 0, -1, 0], dtype=np.int8)
     prefix = np.empty(6, dtype=np.int64)
-    nb.placement_prefix(placement, prefix)
+    accel.placement_prefix(placement, prefix)
     np.testing.assert_array_equal(prefix, [0, 1, 1, 2, 2, 3])
 
 
@@ -117,7 +115,7 @@ def test_classic_indices_match_derive_indices(seed, num_hashes):
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 1 << 48, size=5_000, dtype=np.uint64)
     num_slots = 1_048_573
-    got = nb.classic_indices(keys, num_hashes, num_slots, seed)
+    got = accel.classic_indices(keys, num_hashes, num_slots, seed)
     expected = derive_indices(keys, num_hashes, num_slots, seed=seed)
     np.testing.assert_array_equal(got, expected)
 
@@ -127,7 +125,7 @@ def test_blocked_indices_match_original_construction(seed):
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 1 << 48, size=5_000, dtype=np.uint64)
     num_blocks, counters_per_block, num_hashes = 4096, 16, 3
-    got = nb.blocked_indices(
+    got = accel.blocked_indices(
         keys, seed, num_blocks, counters_per_block, num_hashes
     )
     # The original derivation: one splitmix64+fold picks the block, k
@@ -182,7 +180,7 @@ def test_cbf_fused_update_matches_sequential_reference(bits):
         idx = rng.integers(0, size, size=(64, 3), dtype=np.int64)
         totals = rng.integers(1, 5, size=64, dtype=np.int64)
         expected = _reference_fused_update(ref, idx, totals)
-        got = nb.cbf_fused_update(
+        got = accel.cbf_fused_update(
             fused._store,
             fused.bits,
             fused._per_byte,
@@ -216,7 +214,7 @@ def test_gap_positions_match_reference(seed):
     pos = int(rng.integers(0, 30))
     n = int(rng.integers(100, 1500))
     out = np.empty(gaps.size + 1, dtype=np.int64)
-    count, carry, last = nb.gap_positions(gaps, pos, n, out)
+    count, carry, last = accel.gap_positions(gaps, pos, n, out)
     exp_positions, exp_carry, exp_last = _reference_gap_positions(gaps, pos, n)
     np.testing.assert_array_equal(out[:count], exp_positions)
     assert carry == exp_carry
@@ -226,7 +224,7 @@ def test_gap_positions_match_reference(seed):
 def test_gap_positions_start_beyond_batch():
     gaps = np.array([5, 7], dtype=np.int64)
     out = np.empty(3, dtype=np.int64)
-    count, carry, last = nb.gap_positions(gaps, 10, 4, out)
+    count, carry, last = accel.gap_positions(gaps, 10, 4, out)
     assert count == 0
     assert carry == 6  # first position (10) minus n (4)
     assert last == 22
@@ -243,14 +241,14 @@ def test_expand_runs_matches_concatenated_aranges(seed):
     starts, counts = _random_runs(rng, n_pages=10_000, n_runs=300, max_count=25)
     expected = _expand(starts, counts)
     out = np.empty(int(counts.sum()), dtype=np.int64)
-    nb.expand_runs(starts, counts, out)
+    accel.expand_runs(starts, counts, out)
     np.testing.assert_array_equal(out, expected)
 
 
 def test_expand_runs_empty():
     empty = np.empty(0, dtype=np.int64)
     out = np.empty(0, dtype=np.int64)
-    nb.expand_runs(empty, empty, out)  # must not raise
+    accel.expand_runs(empty, empty, out)  # must not raise
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,7 @@ def test_run_pages_at_matches_expanded_gather(seed):
     rng = np.random.default_rng(seed)
     head, starts, counts, offsets, expanded = _compressed(rng, n_pages=4096)
     positions = rng.integers(0, expanded.size, size=500, dtype=np.int64)
-    got = nb.run_pages_at(head, starts, counts, offsets, positions)
+    got = accel.run_pages_at(head, starts, counts, offsets, positions)
     np.testing.assert_array_equal(got, expanded[positions])
     assert got.dtype == np.int64
 
@@ -284,19 +282,19 @@ def test_run_pages_at_sorted_path_matches_general(seed):
     positions = np.sort(
         rng.integers(0, expanded.size, size=500, dtype=np.int64)
     )
-    got = nb.run_pages_at(
+    got = accel.run_pages_at(
         head, starts, counts, offsets, positions, sorted_positions=True
     )
     np.testing.assert_array_equal(got, expanded[positions])
     np.testing.assert_array_equal(
-        got, nb.run_pages_at(head, starts, counts, offsets, positions)
+        got, accel.run_pages_at(head, starts, counts, offsets, positions)
     )
     for bad in (
         np.array([-1], dtype=np.int64),
         np.array([expanded.size], dtype=np.int64),
     ):
         with pytest.raises(IndexError):
-            nb.run_pages_at(
+            accel.run_pages_at(
                 head, starts, counts, offsets, bad, sorted_positions=True
             )
 
@@ -308,7 +306,7 @@ def test_run_pages_at_boundaries():
     counts = np.array([3, 2], dtype=np.int64)
     offsets = np.cumsum(counts)
     positions = np.array([0, 1, 2, 4, 5, 6], dtype=np.int64)
-    got = nb.run_pages_at(head, starts, counts, offsets, positions)
+    got = accel.run_pages_at(head, starts, counts, offsets, positions)
     np.testing.assert_array_equal(got, [9, 3, 100, 102, 200, 201])
 
 
@@ -319,7 +317,7 @@ def test_run_pages_at_out_of_range_raises():
     offsets = np.cumsum(counts)
     for bad in (-1, 3):
         with pytest.raises(IndexError):
-            nb.run_pages_at(
+            accel.run_pages_at(
                 head, starts, counts, offsets,
                 np.array([bad], dtype=np.int64),
             )
@@ -330,7 +328,7 @@ def test_run_pages_at_out_of_range_raises():
 def test_strided_run_pages_matches_expanded_slice(seed, stride):
     rng = np.random.default_rng(seed)
     head, starts, counts, offsets, expanded = _compressed(rng, n_pages=4096)
-    got = nb.strided_run_pages(
+    got = accel.strided_run_pages(
         head, starts, counts, offsets, stride, expanded.size
     )
     np.testing.assert_array_equal(got, expanded[::stride])
@@ -343,7 +341,7 @@ def test_weighted_page_counts_matches_add_at(seed):
     head, starts, counts, _, expanded = _compressed(rng, n_pages)
     got = rng.integers(0, 5, size=n_pages).astype(np.int64)  # accumulates
     expected = got.copy()
-    nb.weighted_page_counts(head, starts, counts, got)
+    accel.weighted_page_counts(head, starts, counts, got)
     np.add.at(expected, expanded, 1)
     np.testing.assert_array_equal(got, expected)
 
@@ -352,11 +350,11 @@ def test_weighted_page_counts_out_of_range_raises():
     out = np.zeros(8, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
     with pytest.raises(IndexError):
-        nb.weighted_page_counts(
+        accel.weighted_page_counts(
             np.array([8], dtype=np.int64), empty, empty, out
         )
     with pytest.raises(IndexError):
-        nb.weighted_page_counts(
+        accel.weighted_page_counts(
             empty,
             np.array([6], dtype=np.int64),
             np.array([5], dtype=np.int64),  # run [6, 11) exceeds 8 pages
@@ -388,7 +386,7 @@ def test_hint_faults_match_expanded_first_occurrence(seed):
         rng.random(n_pages) < 0.3, rng.random(n_pages) * 1e6, -1.0
     )
     ref_unmap = unmap.copy()
-    pages, times = nb.hint_faults(unmap, head, starts, counts)
+    pages, times = accel.hint_faults(unmap, head, starts, counts)
     exp_pages, exp_times = _reference_hint_faults(ref_unmap, expanded)
     np.testing.assert_array_equal(pages, exp_pages)  # order included
     np.testing.assert_array_equal(times, exp_times)
@@ -397,7 +395,7 @@ def test_hint_faults_match_expanded_first_occurrence(seed):
 
 def test_hint_faults_skips_out_of_range_pages():
     unmap = np.array([5.0, -1.0], dtype=np.float64)
-    pages, times = nb.hint_faults(
+    pages, times = accel.hint_faults(
         unmap,
         np.array([7, 0, -3], dtype=np.int64),  # 7 and -3 out of range
         np.empty(0, dtype=np.int64),
@@ -411,6 +409,6 @@ def test_hint_faults_skips_out_of_range_pages():
 def test_hint_faults_empty_batch():
     unmap = np.array([1.0], dtype=np.float64)
     empty = np.empty(0, dtype=np.int64)
-    pages, times = nb.hint_faults(unmap, empty, empty, empty)
+    pages, times = accel.hint_faults(unmap, empty, empty, empty)
     assert pages.size == 0 and times.size == 0
     assert unmap[0] == 1.0

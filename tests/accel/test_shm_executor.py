@@ -78,6 +78,29 @@ def test_replay_reproduces_generated_stream():
         handle.unlink()
 
 
+def test_replay_reproduces_explicit_stream():
+    """Explicit batches record as head pages with empty runs and
+    replay with their page ids, dtype included."""
+    workload = WorkloadSpec("zipf", num_pages=512, alpha=1.1, seed=3)
+    handle = publish_stream(workload, 6)
+    try:
+        fresh = workload()
+        from repro.core.runner import build_all_local_machine
+        from repro.memsim.tier import CXL1_CONFIG
+
+        fresh.setup(build_all_local_machine(fresh.footprint_pages, CXL1_CONFIG))
+        fresh_stream = fresh.batches()
+        replayed = list(SharedStreamWorkload(workload, handle).batches())
+        assert len(replayed) == 6
+        for got in replayed:
+            want = next(fresh_stream)
+            assert want.run_starts.size == 0 and got.run_starts.size == 0
+            assert got.page_ids.dtype == want.page_ids.dtype
+            np.testing.assert_array_equal(got.page_ids, want.page_ids)
+    finally:
+        handle.unlink()
+
+
 def test_replay_views_are_read_only():
     handle = publish_stream(WORKLOAD, 5)
     try:

@@ -9,9 +9,18 @@ import numpy as np
 import pytest
 
 from repro.memsim.machine import Machine, MachineConfig
+from repro.memsim.pagetable import LOCAL_TIER
 from repro.memsim.tier import CXL1_CONFIG
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def tier_counts(machine: Machine, batch) -> tuple[int, int]:
+    """``(n_local, n_cxl)`` of ``batch`` under ``machine``'s current
+    placement: the split the engine hands ``TieringPolicy.on_batch``."""
+    tiers = machine.placement_of(batch.page_ids)
+    n_local = int(np.count_nonzero(tiers == LOCAL_TIER))
+    return n_local, batch.num_accesses - n_local
 
 
 def _is_pycache_only(directory: Path) -> bool:

@@ -1,10 +1,14 @@
 """Tests for the simulation engine."""
 
+import numpy as np
+import pytest
 
 from repro.core.engine import SimulationEngine
 from repro.memsim.machine import Machine, MachineConfig
+from repro.memsim.pagetable import CXL_TIER, LOCAL_TIER, UNMAPPED
 from repro.policies.static_policy import StaticNoMigration
 from repro.policies.freqtier import FreqTier, FreqTierConfig
+from repro.sampling.events import AccessBatch
 from repro.workloads.trace import SyntheticZipfWorkload
 
 
@@ -79,3 +83,38 @@ class TestRun:
         engine = build()
         result = engine.run(max_batches=2)
         assert "promotions" in result.policy_stats
+
+
+class TestHeadOnlyCounting:
+    """Explicit batches are counted as head pages: no prefix, no runs."""
+
+    def _engine(self):
+        engine = build(num_pages=100, local=32)
+        engine.setup()
+        return engine
+
+    def test_counts_follow_placement_with_unmapped_int32_ids(self):
+        engine = self._engine()
+        placement = engine.machine.page_table.placement_view()
+        ids = np.arange(placement.size, dtype=np.int32)[::3]
+        batch = AccessBatch(ids, num_ops=1.0, cpu_ns=0.0)
+        assert batch.head_page_ids.dtype == np.int32
+        assert batch.run_starts.size == 0
+        tiers = placement[ids].copy()
+        assert (tiers == UNMAPPED).any() and (tiers == LOCAL_TIER).any()
+        outcome = engine.step(batch)
+        n_local = int(np.count_nonzero(tiers == LOCAL_TIER))
+        # Unmapped pages count as non-local, like CXL pages.
+        assert (outcome.n_local, outcome.n_cxl) == (n_local, ids.size - n_local)
+        assert outcome.n_cxl > int(np.count_nonzero(tiers == CXL_TIER))
+        # A batch without runs never builds the placement prefix sum.
+        assert engine.batch_ctx._prefix_key is None
+
+    def test_out_of_range_ids_raise(self):
+        engine = self._engine()
+        size = engine.machine.page_table.placement_view().size
+        batch = AccessBatch(
+            np.array([0, size], dtype=np.int32), num_ops=1.0, cpu_ns=0.0
+        )
+        with pytest.raises(IndexError):
+            engine.step(batch)

@@ -20,6 +20,8 @@ from repro.policies.freqtier.intensity import TieringState
 from repro.sampling.events import AccessBatch
 from repro.sampling.pebs import PEBSSampler, SamplingLevel
 
+from tests.conftest import tier_counts
+
 
 class TestSampleLoss:
     def test_policy_survives_ring_overflow(self):
@@ -42,8 +44,7 @@ class TestSampleLoss:
             batch = AccessBatch(
                 page_ids=np.tile(hot, 50), num_ops=1.0, cpu_ns=0.0
             )
-            tiers = machine.placement_of(batch.page_ids)
-            policy.on_batch(batch, tiers, float(i))
+            policy.on_batch(batch, float(i), tier_counts(machine, batch))
         assert policy.pebs.total_lost > 0
         # Flush-at-window-close still processed what survived.
         assert policy.stats.samples_processed > 0
@@ -82,7 +83,7 @@ class TestDegenerateShapes:
         one_page = np.full(2_000, 200, dtype=np.int64)
         for i in range(10):
             batch = AccessBatch(page_ids=one_page, num_ops=1.0, cpu_ns=0.0)
-            policy.on_batch(batch, machine.placement_of(one_page), float(i))
+            policy.on_batch(batch, float(i), tier_counts(machine, batch))
         # The single hot page ends up local.
         assert machine.placement_of(np.array([200]))[0] == 0
 
@@ -96,7 +97,7 @@ class TestDegenerateShapes:
         empty = AccessBatch(
             page_ids=np.zeros(0, dtype=np.int64), num_ops=0.0, cpu_ns=0.0
         )
-        overhead = policy.on_batch(empty, np.zeros(0, dtype=np.int64), 0.0)
+        overhead = policy.on_batch(empty, 0.0, (0, 0))
         assert overhead == 0.0
 
     def test_footprint_smaller_than_local(self):
@@ -125,8 +126,8 @@ class TestSamplerEdgeCases:
         sampler = PEBSSampler(base_period=2, seed=0)
         batch = AccessBatch(page_ids=np.arange(100), num_ops=1.0, cpu_ns=0.0)
         sampler.set_level(SamplingLevel.OFF)
-        sampler.observe(batch, np.zeros(100))
+        sampler.observe(batch)
         assert sampler.pending_samples == 0
         sampler.set_level(SamplingLevel.HIGH)
-        sampler.observe(batch, np.zeros(100))
+        sampler.observe(batch)
         assert sampler.pending_samples > 0

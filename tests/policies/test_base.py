@@ -1,11 +1,9 @@
 """Tests for the policy base class and stats."""
 
-import numpy as np
 import pytest
 
 from repro.memsim.machine import Machine, MachineConfig
 from repro.policies.base import PolicyStats, TieringPolicy
-from repro.sampling.events import AccessBatch
 
 
 class _Recorder(TieringPolicy):
@@ -15,7 +13,7 @@ class _Recorder(TieringPolicy):
         super().__init__()
         self.calls = []
 
-    def on_batch(self, batch, tiers, now_ns, counts=None):
+    def on_batch(self, batch, now_ns, counts):
         self.calls.append((batch.num_accesses, now_ns, counts))
         return 1.5
 
@@ -53,24 +51,6 @@ class TestTieringPolicy:
 
 
 class TestBatchCounts:
-    def _batch_and_tiers(self):
-        batch = AccessBatch(
-            page_ids=np.arange(10), num_ops=1.0, cpu_ns=0.0
-        )
-        tiers = np.array([0, 0, 0, 1, 1, 1, 1, 0, 1, 1], dtype=np.int8)
-        return batch, tiers
-
-    def test_uses_precomputed_counts_when_given(self):
-        policy = _Recorder()
-        batch, tiers = self._batch_and_tiers()
-        # Deliberately wrong counts prove the tiers array is not rescanned.
-        assert policy._batch_counts(batch, tiers, (9, 1)) == (9, 1)
-
-    def test_falls_back_to_counting_tiers(self):
-        policy = _Recorder()
-        batch, tiers = self._batch_and_tiers()
-        assert policy._batch_counts(batch, tiers, None) == (4, 6)
-
     def test_engine_passes_counts_to_on_batch(self):
         from repro.core.engine import SimulationEngine
         from repro.workloads.trace import SyntheticZipfWorkload
@@ -87,7 +67,6 @@ class TestBatchCounts:
         engine.run(max_batches=3)
         assert len(policy.calls) == 3
         for num_accesses, __, counts in policy.calls:
-            assert counts is not None
             n_local, n_cxl = counts
             assert n_local >= 0 and n_cxl >= 0
             assert n_local + n_cxl == num_accesses

@@ -8,6 +8,8 @@ from repro.memsim.pagetable import LOCAL_TIER
 from repro.policies.damon import DAMONRegion
 from repro.sampling.events import AccessBatch
 
+from tests.conftest import tier_counts
+
 
 def make_setup(local=128, footprint=2048, **kwargs):
     machine = Machine(
@@ -25,7 +27,7 @@ def make_setup(local=128, footprint=2048, **kwargs):
 
 def drive(machine, policy, pages, now=0.0):
     batch = AccessBatch(page_ids=np.asarray(pages), num_ops=1.0, cpu_ns=0.0)
-    return policy.on_batch(batch, machine.placement_of(batch.page_ids), now)
+    return policy.on_batch(batch, now, tier_counts(machine, batch))
 
 
 class TestRegions:

@@ -10,6 +10,8 @@ from repro.policies.freqtier.intensity import TieringState
 from repro.sampling.events import AccessBatch
 from repro.workloads.trace import SyntheticZipfWorkload
 
+from tests.conftest import tier_counts
+
 
 def make_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
     """Machine + attached FreqTier + allocated flat region."""
@@ -30,8 +32,7 @@ def make_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
 
 def drive(machine, policy, pages: np.ndarray, now: float = 0.0) -> float:
     batch = AccessBatch(page_ids=pages, num_ops=1.0, cpu_ns=0.0)
-    tiers = machine.placement_of(batch.page_ids)
-    return policy.on_batch(batch, tiers, now)
+    return policy.on_batch(batch, now, tier_counts(machine, batch))
 
 
 class TestAttach:
@@ -156,12 +157,9 @@ class TestEndToEndOnZipf:
         gen = iter(workload.batches())
         for i in range(60):
             batch = next(gen)
-            tiers = machine.placement_of(batch.page_ids)
-            machine.traffic.record_accesses(
-                int(np.count_nonzero(tiers == LOCAL_TIER)),
-                int(np.count_nonzero(tiers == CXL_TIER)),
-            )
-            policy.on_batch(batch, tiers, float(i))
+            counts = tier_counts(machine, batch)
+            machine.traffic.record_accesses(*counts)
+            policy.on_batch(batch, float(i), counts)
         assert machine.traffic.local_hit_ratio > 0.5  # >> static share
 
     def test_hot_threshold_exposed(self):

@@ -24,6 +24,8 @@ from repro.policies.freqtier import FreqTier, FreqTierConfig
 from repro.policies.freqtier.intensity import TieringState
 from repro.sampling.events import AccessBatch
 
+from tests.conftest import tier_counts
+
 
 def make_traced_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
     """Machine + FreqTier wired to a recording tracer + mapped region."""
@@ -40,8 +42,7 @@ def make_traced_setup(local=128, cxl=4096, footprint=2048, **cfg_kwargs):
 
 def drive(machine, policy, pages: np.ndarray, now: float = 0.0) -> float:
     batch = AccessBatch(page_ids=pages, num_ops=1.0, cpu_ns=0.0)
-    tiers = machine.placement_of(batch.page_ids)
-    return policy.on_batch(batch, tiers, now)
+    return policy.on_batch(batch, now, tier_counts(machine, batch))
 
 
 class TestMonitoringRingFlush:

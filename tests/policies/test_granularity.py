@@ -8,6 +8,8 @@ from repro.memsim.pagetable import LOCAL_TIER
 from repro.policies.freqtier import FreqTier, FreqTierConfig
 from repro.sampling.events import AccessBatch
 
+from tests.conftest import tier_counts
+
 
 def make_setup(granularity: int, local=128, footprint=2048):
     machine = Machine(
@@ -29,7 +31,7 @@ def make_setup(granularity: int, local=128, footprint=2048):
 
 def drive(machine, policy, pages, now=0.0):
     batch = AccessBatch(page_ids=np.asarray(pages), num_ops=1.0, cpu_ns=0.0)
-    return policy.on_batch(batch, machine.placement_of(batch.page_ids), now)
+    return policy.on_batch(batch, now, tier_counts(machine, batch))
 
 
 class TestUnitTranslation:

@@ -9,11 +9,12 @@ from repro.policies.multiclock import MultiClock
 from repro.policies.static_policy import StaticNoMigration
 from repro.sampling.events import AccessBatch
 
+from tests.conftest import tier_counts
+
 
 def drive(machine, policy, pages, now=0.0):
     batch = AccessBatch(page_ids=np.asarray(pages), num_ops=1.0, cpu_ns=0.0)
-    tiers = machine.placement_of(batch.page_ids)
-    return policy.on_batch(batch, tiers, now)
+    return policy.on_batch(batch, now, tier_counts(machine, batch))
 
 
 class TestNoOpPolicies:

@@ -16,6 +16,16 @@ class TestAccessBatch:
         b = AccessBatch(page_ids=[1, 2], num_ops=1.0, cpu_ns=0.0)
         assert b.page_ids.dtype == np.int64
 
+    def test_explicit_batch_is_head_only(self):
+        ids = np.array([4, 1, 4, 9], dtype=np.int32)
+        b = AccessBatch(page_ids=ids, num_ops=1.0, cpu_ns=0.0)
+        # Stored as a compressed batch without runs, without copies.
+        assert b.head_page_ids is ids
+        assert b.page_ids is ids
+        assert b.run_starts.size == 0 and b.run_counts.size == 0
+        np.testing.assert_array_equal(b.pages_at(np.array([1, 3])), [1, 9])
+        np.testing.assert_array_equal(b.strided_pages(2), [4, 4])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AccessBatch(page_ids=np.array([1]), num_ops=-1.0, cpu_ns=0.0)
@@ -90,10 +100,6 @@ class TestCompressedAccessBatch:
 
 
 class TestSampleBatch:
-    def test_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            SampleBatch(page_ids=np.array([1, 2]), tiers=np.array([0]))
-
     def test_empty(self):
         b = SampleBatch.empty()
         assert b.num_samples == 0

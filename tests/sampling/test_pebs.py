@@ -26,7 +26,7 @@ class TestLevels:
         s.set_level(SamplingLevel.OFF)
         assert s.period is None
         assert s.sampling_probability == 0.0
-        s.observe(make_batch(1000), np.zeros(1000))
+        s.observe(make_batch(1000))
         assert s.pending_samples == 0
 
     def test_nominal_hz_labels(self):
@@ -39,7 +39,7 @@ class TestLevels:
 class TestSampling:
     def test_rate_approximates_period(self):
         s = PEBSSampler(base_period=10, seed=0)
-        s.observe(make_batch(100_000), np.zeros(100_000))
+        s.observe(make_batch(100_000))
         assert s.pending_samples == pytest.approx(10_000, rel=0.1)
 
     def test_lower_level_samples_less(self):
@@ -47,24 +47,14 @@ class TestSampling:
         low = PEBSSampler(base_period=10, seed=0)
         low.set_level(SamplingLevel.LOW)
         batch = make_batch(100_000)
-        high.observe(batch, np.zeros(100_000))
-        low.observe(batch, np.zeros(100_000))
+        high.observe(batch)
+        low.observe(batch)
         assert low.pending_samples < high.pending_samples / 20
-
-    def test_samples_carry_tier_labels(self):
-        s = PEBSSampler(base_period=2, seed=1)
-        tiers = np.concatenate([np.zeros(500), np.ones(500)])
-        s.observe(
-            AccessBatch(page_ids=np.arange(1000), num_ops=1.0, cpu_ns=0.0), tiers
-        )
-        out = s.drain()
-        # Sampled tier composition mirrors the stream's.
-        assert 0.3 < out.tiers.mean() < 0.7
 
     def test_sampled_pages_come_from_batch(self):
         s = PEBSSampler(base_period=4, seed=2)
         pages = np.arange(100, 200)
-        s.observe(AccessBatch(page_ids=pages, num_ops=1.0, cpu_ns=0.0), np.zeros(100))
+        s.observe(AccessBatch(page_ids=pages, num_ops=1.0, cpu_ns=0.0))
         out = s.drain()
         assert np.all((out.page_ids >= 100) & (out.page_ids < 200))
 
@@ -72,15 +62,15 @@ class TestSampling:
         a = PEBSSampler(base_period=8, seed=3)
         b = PEBSSampler(base_period=8, seed=3)
         batch = make_batch(10_000)
-        a.observe(batch, np.zeros(10_000))
-        b.observe(batch, np.zeros(10_000))
+        a.observe(batch)
+        b.observe(batch)
         assert np.array_equal(a.drain().page_ids, b.drain().page_ids)
 
 
 class TestRingBuffer:
     def test_overflow_drops_and_counts(self):
         s = PEBSSampler(base_period=1, ring_capacity=100, seed=0)
-        s.observe(make_batch(500), np.zeros(500))
+        s.observe(make_batch(500))
         assert s.pending_samples == 100
         out = s.drain()
         assert out.num_samples == 100
@@ -89,7 +79,7 @@ class TestRingBuffer:
 
     def test_drain_resets(self):
         s = PEBSSampler(base_period=1, seed=0)
-        s.observe(make_batch(10), np.zeros(10))
+        s.observe(make_batch(10))
         s.drain()
         assert s.pending_samples == 0
         out = s.drain()
@@ -98,9 +88,9 @@ class TestRingBuffer:
 
     def test_lost_counter_clears_after_drain(self):
         s = PEBSSampler(base_period=1, ring_capacity=5, seed=0)
-        s.observe(make_batch(10), np.zeros(10))
+        s.observe(make_batch(10))
         assert s.drain().lost == 5
-        s.observe(make_batch(3), np.zeros(3))
+        s.observe(make_batch(3))
         assert s.drain().lost == 0
 
 
@@ -113,11 +103,11 @@ class TestSkipSamplingStatistics:
     instead of one per offered access.
     """
 
-    def _collect_counts(self, sampler, batch, tiers, reps):
+    def _collect_counts(self, sampler, batch, reps):
         counts = []
         for _ in range(reps):
             before = sampler.total_samples
-            sampler.observe(batch, tiers)
+            sampler.observe(batch)
             counts.append(sampler.total_samples - before)
             sampler.drain()
         return np.array(counts)
@@ -127,7 +117,7 @@ class TestSkipSamplingStatistics:
         s = PEBSSampler(base_period=64, seed=42)
         s.set_level(SamplingLevel.MEDIUM)  # period 640
         batch = make_batch(n)
-        counts = self._collect_counts(s, batch, np.zeros(n, dtype=np.int8), reps)
+        counts = self._collect_counts(s, batch, reps)
         p = 1.0 / 640
         mean_exp = n * p
         var_exp = n * p * (1 - p)
@@ -141,10 +131,9 @@ class TestSkipSamplingStatistics:
         s = PEBSSampler(base_period=64, seed=7)
         s.set_level(SamplingLevel.MEDIUM)
         ids = np.arange(n)
-        tiers = np.zeros(n, dtype=np.int8)
         hist = np.zeros(bins)
         for _ in range(400):
-            s.observe(AccessBatch(page_ids=ids, num_ops=1.0, cpu_ns=0.0), tiers)
+            s.observe(AccessBatch(page_ids=ids, num_ops=1.0, cpu_ns=0.0))
             out = s.drain()
             hist += np.bincount(out.page_ids // (n // bins), minlength=bins)[:bins]
         expected = hist.sum() / bins
@@ -156,7 +145,6 @@ class TestSkipSamplingStatistics:
         """The point of skip sampling: RNG draws track samples, not accesses."""
         n = 100_000
         batch = make_batch(n)
-        tiers = np.zeros(n, dtype=np.int8)
         for level, min_reduction in [
             (SamplingLevel.MEDIUM, 100.0),
             (SamplingLevel.LOW, 1_000.0),
@@ -164,7 +152,7 @@ class TestSkipSamplingStatistics:
             s = PEBSSampler(base_period=64, seed=0)
             s.set_level(level)
             for _ in range(20):
-                s.observe(batch, tiers)
+                s.observe(batch)
                 s.drain()
             reduction = s.total_offered / max(s.rng_values_drawn, 1)
             assert reduction > min_reduction, (level, reduction)
@@ -175,9 +163,8 @@ class TestSkipSamplingStatistics:
         s = PEBSSampler(base_period=64, seed=5)
         s.set_level(SamplingLevel.LOW)  # period 6400 >> batch size
         batch = make_batch(1_000)
-        tiers = np.zeros(1_000, dtype=np.int8)
         for _ in range(3_000):  # 3M accesses -> ~469 samples expected
-            s.observe(batch, tiers)
+            s.observe(batch)
         expected = 3_000_000 / 6400
         assert s.total_samples == pytest.approx(expected, rel=0.25)
 
@@ -186,19 +173,18 @@ class TestSkipSamplingStatistics:
         s = PEBSSampler(base_period=64, seed=9)
         s.set_level(SamplingLevel.LOW)
         batch = make_batch(10_000)
-        tiers = np.zeros(10_000, dtype=np.int8)
-        s.observe(batch, tiers)
+        s.observe(batch)
         s.set_level(SamplingLevel.HIGH)
         before = s.total_samples
         for _ in range(20):
-            s.observe(batch, tiers)
+            s.observe(batch)
         got = s.total_samples - before
         assert got == pytest.approx(200_000 / 64, rel=0.2)
 
     def test_overflow_accounting_with_skip_period(self):
         """Ring overflow at period > 1 still counts every lost sample."""
         s = PEBSSampler(base_period=4, ring_capacity=50, seed=0)
-        s.observe(make_batch(10_000), np.zeros(10_000, dtype=np.int8))
+        s.observe(make_batch(10_000))
         assert s.pending_samples == 50
         out = s.drain()
         assert out.num_samples == 50
@@ -210,10 +196,10 @@ class TestSkipSamplingStatistics:
     def test_off_then_on_resumes_cleanly(self):
         s = PEBSSampler(base_period=8, seed=1)
         s.set_level(SamplingLevel.OFF)
-        s.observe(make_batch(1_000), np.zeros(1_000, dtype=np.int8))
+        s.observe(make_batch(1_000))
         assert s.pending_samples == 0
         s.set_level(SamplingLevel.HIGH)
-        s.observe(make_batch(10_000), np.zeros(10_000, dtype=np.int8))
+        s.observe(make_batch(10_000))
         assert s.pending_samples == pytest.approx(1_250, rel=0.3)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.config import ExperimentConfig
@@ -91,6 +92,36 @@ def test_kill_resume_on_compressed_workload(tmp_path, seed, policy):
     )
     resumed = run_experiment(
         workload, pol, _cfg(seed, TOTAL_BATCHES), resume_from=ckpt
+    )
+    assert resumed.to_dict() == reference.to_dict()
+
+
+@pytest.mark.parametrize("policy", ["freqtier", "hemem"])
+def test_resume_from_snapshot_with_sampled_tiers(tmp_path, policy):
+    """Snapshots written while PEBS samples carried tier codes hold a
+    ``pending_tiers`` list next to ``pending_pages``; they still load
+    and resume bit-identically."""
+    workload, pol = _specs(policy, 3)
+    reference = run_experiment(workload, pol, _cfg(3, TOTAL_BATCHES))
+    ckpt = tmp_path / "ck"
+    run_experiment(
+        workload,
+        pol,
+        _cfg(3, KILL_AT),
+        checkpoint_dir=ckpt,
+        checkpoint_every_batches=EVERY,
+    )
+    payload = CheckpointManager(ckpt).load_latest().payload
+    pebs = payload["policy"]["pebs"]
+    assert pebs["pending_pages"], "the snapshot should hold buffered samples"
+    pebs["pending_tiers"] = [
+        np.zeros(np.asarray(pages).size, dtype=np.int8)
+        for pages in pebs["pending_pages"]
+    ]
+    old = tmp_path / "old"
+    CheckpointManager(old).save(payload)
+    resumed = run_experiment(
+        workload, pol, _cfg(3, TOTAL_BATCHES), resume_from=old
     )
     assert resumed.to_dict() == reference.to_dict()
 

@@ -183,11 +183,10 @@ def test_pebs_per_array_sample_rates_on_program_order_batch(phase):
     ranges = _array_ranges(workload)
     sampler = PEBSSampler(base_period=64, ring_capacity=1 << 30, seed=11)
     sampler.set_level(SamplingLevel.HIGH)
-    tiers = np.zeros(batch.num_accesses, dtype=np.int8)
     reps = 200
     observed = dict.fromkeys(ranges, 0)
     for __ in range(reps):
-        sampler.observe(batch, tiers)
+        sampler.observe(batch)
         sampled = sampler.drain().page_ids
         for name, (lo, hi) in ranges.items():
             observed[name] += int(np.count_nonzero((sampled >= lo) & (sampled < hi)))
