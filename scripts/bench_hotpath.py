@@ -4,8 +4,9 @@
 Times each component of the simulator's per-batch inner loop in
 isolation -- hashing, CBF bulk increase, PEBS sampler observe at each
 level, Zipf drawing/churn, page-table placement lookups, GAP
-betweenness-centrality trace generation -- plus one end-to-end FreqTier
-run on the CacheLib CDN bench-grid workload, and writes
+betweenness-centrality trace generation, checkpoint saves of a
+serving daemon -- plus one end-to-end FreqTier run on the CacheLib CDN
+bench-grid workload, and writes
 ``BENCH_hotpath.json`` so successive PRs can track per-component cost
 (ns/op) and the sampler's RNG economy (uniforms drawn per offered
 access).
@@ -21,12 +22,12 @@ Usage::
 fails (exit 1) if any shared component's ns/op regressed more than
 ``--tolerance`` (default 2.0x) against the baseline, if the
 sampler's RNG reduction at MEDIUM/LOW fell below ``--min-rng-reduction``
-(default 5x), or if a *full* (non-smoke) record's engine benchmark
-or GAP generator cell exceeds its absolute ns/batch ceiling (the
-fused-kernel and program-order speedup floors; smoke records are
-exempt because their shorter runs amortize setup over fewer batches
-and CI hosts vary).  ``--before BEFORE.json`` embeds a
-pre-optimization record and reports speedups against it.
+(default 5x), or if a *full* (non-smoke) record's engine benchmark,
+GAP generator or checkpoint-save cell exceeds its absolute ns/op
+ceiling (the fused-kernel, program-order and single-pass-save speedup
+floors; smoke records are exempt because their shorter runs amortize
+setup over fewer batches and CI hosts vary).  ``--before BEFORE.json``
+embeds a pre-optimization record and reports speedups against it.
 
 Schema v2: engine-level components carry ``batches_per_sec`` (older
 records also carry a ``backend`` field, which is ignored).  Besides
@@ -43,6 +44,7 @@ import itertools
 import json
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,6 +64,8 @@ from repro.memsim.machine import Machine, MachineConfig  # noqa: E402
 from repro.memsim.pagetable import LOCAL_TIER, PageTable  # noqa: E402
 from repro.sampling.events import AccessBatch  # noqa: E402
 from repro.sampling.pebs import PEBSSampler, SamplingLevel  # noqa: E402
+from repro.serve import ServeConfig, TieringDaemon, VirtualTimeDriver  # noqa: E402
+from repro.state import CheckpointManager  # noqa: E402
 from repro.workloads.gap import GapWorkload  # noqa: E402
 from repro.workloads.zipfian import ZipfianSampler  # noqa: E402
 
@@ -106,6 +110,18 @@ _ENGINE_CEILINGS_NS = {
 #: the current generator and under the old one on a quiet host.
 _GEN_CEILINGS_NS = {
     "gen_gap_bc": 1_500_000.0,
+}
+
+#: Absolute ns/save ceilings for full records' checkpoint cells.
+#: checkpoint_save: a ~600-batch serve payload cost 29 ms per save while
+#: metrics were stored as per-batch dicts and the snapshot was rendered
+#: twice (once to digest, once through the pure-Python file encoder);
+#: columnar metrics and one canonical render save it in 2.8-4.9 ms (2
+#: vCPU shared VM, quiet to busy, fsync included).  The ceiling sits
+#: over 3x under the old cost and above the busy-host cost of the
+#: current one.
+_STATE_CEILINGS_NS = {
+    "checkpoint_save": 9_000_000.0,
 }
 
 
@@ -245,6 +261,52 @@ def bench_gen_gap_bc(reps: int) -> dict:
     return record
 
 
+def bench_checkpoint_save(reps: int) -> dict:
+    """ns per ``CheckpointManager.save`` of a serve-sized payload.
+
+    The same cell in smoke and full runs: the serve_burst daemon stack
+    (CDN and social CacheLib tenants under FreqTier, 8 batches per
+    tick) is driven until its metrics hold ~600 batches, and its
+    newest checkpoint, loaded back, is the payload.  Each rep saves it
+    ``saves`` times into one directory -- encode, render, digest,
+    fsync, rename and rotation all inside the timed region; building
+    the payload stays outside it.
+    """
+    saves = 10
+    tenant = {"slab_pages": 8_192, "ops_per_batch": 2_000}
+    with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as root:
+        daemon = TieringDaemon(
+            {
+                "cdn": WorkloadSpec("cdn", **tenant, seed=2),
+                "social": WorkloadSpec("social", **tenant, seed=3),
+            },
+            PolicySpec("freqtier", seed=1),
+            ExperimentConfig(local_fraction=0.06, ratio_label="1:32"),
+            serve=ServeConfig(
+                queue_capacity=64,
+                backpressure="shed-oldest",
+                max_batches_per_tick=8,
+                tick_budget_ns=150_000.0,
+            ),
+            checkpoint_dir=f"{root}/daemon",
+        )
+        driver = VirtualTimeDriver(daemon, arrivals=6)
+        while daemon.engine.batches_done < 600:
+            driver.step()
+        daemon.save_checkpoint()
+        payload = daemon.checkpoint_manager.load_latest().payload
+        manager = CheckpointManager(f"{root}/bench")
+        paths = []
+
+        def run() -> None:
+            paths.extend(manager.save(payload) for _ in range(saves))
+
+        record = _timed(run, saves, reps)
+        record["payload_bytes"] = paths[-1].stat().st_size
+        record["metrics_batches"] = daemon.engine.batches_done
+    return record
+
+
 #: Policies timed end-to-end on the CDN workload besides FreqTier.
 #: All run the engine's run-compressed fast path (no stream expansion):
 #: the PEBS policies sample by position, the hint-fault policies scan
@@ -321,19 +383,20 @@ def validate_record(record: dict) -> list[str]:
 
 
 def _ceiling_failures(record: dict, label: str) -> list[str]:
-    """Absolute engine and generator ns/batch gates; full records only."""
+    """Absolute engine, generator and checkpoint gates; full records only."""
     if record.get("smoke"):
         return []
     failures = []
     for kind, ceilings in (
         ("fused-kernel", _ENGINE_CEILINGS_NS),
         ("generator", _GEN_CEILINGS_NS),
+        ("checkpoint", _STATE_CEILINGS_NS),
     ):
         for name, ceiling in ceilings.items():
             comp = record.get("components", {}).get(name)
             if comp is not None and comp["ns_per_op"] > ceiling:
                 failures.append(
-                    f"{label}: {name} {comp['ns_per_op']:.0f} ns/batch exceeds "
+                    f"{label}: {name} {comp['ns_per_op']:.0f} ns/op exceeds "
                     f"the {kind} ceiling {ceiling:.0f}"
                 )
     return failures
@@ -396,6 +459,7 @@ def run_suite(smoke: bool) -> dict:
     components["pagetable_tier_of"] = bench_pagetable_tier_of(scale, reps)
     components["pagetable_place"] = bench_pagetable_place(scale, reps)
     components["gen_gap_bc"] = bench_gen_gap_bc(reps)
+    components["checkpoint_save"] = bench_checkpoint_save(reps)
     components["engine_cdn"] = bench_engine_policy("freqtier", scale, reps)
     for name in _ENGINE_POLICIES:
         components[f"engine_cdn_{name}"] = bench_engine_policy(name, scale, reps)
@@ -406,6 +470,8 @@ def run_suite(smoke: bool) -> dict:
             extra = f"  ({comp['batches_per_sec']:.0f} batches/s)"
         elif "accesses_per_sec" in comp:
             extra = f"  ({comp['accesses_per_sec'] / 1e6:.1f}M accesses/s)"
+        elif "payload_bytes" in comp:
+            extra = f"  ({comp['payload_bytes'] / 1024:.0f} KiB snapshot)"
         print(f"  {name:24s} {comp['ns_per_op']:12.1f} ns/op{extra}")
     for level, rec in sampler_rng.items():
         print(

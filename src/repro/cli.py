@@ -301,19 +301,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     faults = _faults_from_args(args)
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    with _maybe_profile(args, "repro-run"), trace_to(args.trace) as tracer:
-        result = run_experiment(
-            workload,
-            policy,
-            config,
-            tracer=tracer,
-            faults=faults,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every_batches=(
-                args.checkpoint_every if args.checkpoint_dir else 0
-            ),
-            resume_from=args.checkpoint_dir if args.resume else None,
-        )
+    from repro.state import SnapshotError
+
+    try:
+        with _maybe_profile(args, "repro-run"), trace_to(args.trace) as tracer:
+            result = run_experiment(
+                workload,
+                policy,
+                config,
+                tracer=tracer,
+                faults=faults,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every_batches=(
+                    args.checkpoint_every if args.checkpoint_dir else 0
+                ),
+                resume_from=args.checkpoint_dir if args.resume else None,
+            )
+    except SnapshotError as exc:
+        raise SystemExit(f"cannot resume: {exc}") from exc
     payload = _result_dict(result)
     if args.baseline:
         base = run_all_local(workload, config)
@@ -474,23 +479,30 @@ def cmd_trace_validate(args: argparse.Namespace) -> int:
 def cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     """Report every snapshot generation in a checkpoint directory.
 
-    Exit 0 when at least one generation verifies (a resume would
-    succeed), 1 otherwise -- so scripts can probe resumability.
+    Exit 0 when a resume would succeed, 1 otherwise -- so scripts can
+    probe resumability.  A resume walks generations newest first: it
+    skips corrupt ones and stops at one of another schema version.
     """
-    from repro.state import CheckpointManager
+    from repro.state import STATE_SCHEMA_VERSION, CheckpointManager
 
     if not os.path.isdir(args.dir):
         raise SystemExit(f"not a checkpoint directory: {args.dir}")
     report = CheckpointManager(args.dir).inspect()
-    any_valid = any(entry.get("valid") for entry in report)
+    resumable = False
+    for entry in reversed(report):
+        if entry["valid"]:
+            resumable = True
+            break
+        if entry.get("schema", STATE_SCHEMA_VERSION) != STATE_SCHEMA_VERSION:
+            break
     if args.json:
         print(
             json.dumps(
-                {"dir": args.dir, "generations": report, "resumable": any_valid},
+                {"dir": args.dir, "generations": report, "resumable": resumable},
                 default=str,
             )
         )
-        return 0 if any_valid else 1
+        return 0 if resumable else 1
     if not report:
         print(f"{args.dir}: no snapshot generations")
         return 1
@@ -509,9 +521,9 @@ def cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
                 f"  gen {entry['generation']:>4} {entry['file']:<20} "
                 f"INVALID {entry.get('error', '')}"
             )
-    verdict = "resumable" if any_valid else "NOT resumable"
+    verdict = "resumable" if resumable else "NOT resumable"
     print(f"{args.dir}: {len(report)} generation(s), {verdict}")
-    return 0 if any_valid else 1
+    return 0 if resumable else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

@@ -76,8 +76,8 @@ class MetricsCollector:
     scalar stores instead of a dict/dataclass allocation.  Values pass
     through float64/int64 columns losslessly, and :attr:`records`
     materializes the familiar :class:`BatchRecord` list on demand (all
-    consumers are read-only), so the result build and the checkpoint
-    schema are unchanged.
+    consumers are read-only).  Checkpoints store the columns as they
+    are (:meth:`state_dict`).
     """
 
     def __init__(self):
@@ -137,35 +137,30 @@ class MetricsCollector:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
+        """Columns trimmed to the records so far, plus the labels.
+
+        The columns are copies (the live buffers keep growing), and the
+        snapshot codec stores each one as a single base64 blob, so a
+        checkpoint's metrics section costs O(batches) bytes, not
+        O(batches) Python objects.
+        """
         n = self._n
-        columns = {
-            name: self._cols[name][:n].tolist() for name, __ in _COLUMNS
-        }
         return {
-            "records": [
-                {
-                    **{name: columns[name][i] for name, __ in _COLUMNS},
-                    "label": self._labels[i],
-                }
-                for i in range(n)
-            ]
+            "columns": {
+                name: self._cols[name][:n].copy() for name, __ in _COLUMNS
+            },
+            "labels": list(self._labels),
         }
 
     def load_state(self, state: dict) -> None:
-        records = state["records"]
-        self._n = 0
-        self._cap = 0
+        """Inverse of :meth:`state_dict`."""
+        labels = list(state["labels"])
         self._cols = {
-            name: np.empty(0, dtype=dtype) for name, dtype in _COLUMNS
+            name: np.array(state["columns"][name], dtype=dtype)
+            for name, dtype in _COLUMNS
         }
-        self._labels = []
-        while self._cap < len(records):
-            self._grow()
-        for i, record in enumerate(records):
-            for name, __ in _COLUMNS:
-                self._cols[name][i] = record[name]
-            self._labels.append(record.get("label", ""))
-        self._n = len(records)
+        self._labels = labels
+        self._n = self._cap = len(labels)
 
     def finalize(
         self,

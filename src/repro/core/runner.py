@@ -171,7 +171,10 @@ def _maybe_resume(
 
     A missing directory or one holding no valid snapshot (all corrupt,
     or none written yet) means a fresh start -- resume is best-effort
-    by design so crash-retry loops need no existence checks.
+    by design so crash-retry loops need no existence checks.  A
+    snapshot of another schema version is the exception: it raises
+    :class:`~repro.state.SnapshotError` rather than silently starting
+    the run over.
     """
     if resume_from is None:
         return

@@ -290,7 +290,13 @@ class PEBSSampler:
         return {
             "level": int(self.level),
             "rng": self._rng.bit_generator.state,
-            "pending_pages": [arr.copy() for arr in self._pending_pages],
+            # One array: drain() concatenates the ring anyway, so the
+            # per-observe boundaries carry no meaning.
+            "pending_pages": (
+                np.concatenate(self._pending_pages)
+                if self._pending_pages
+                else np.empty(0, dtype=np.int64)
+            ),
             "pending_count": self._pending_count,
             "lost": self._lost,
             "total_samples": self.total_samples,
@@ -302,17 +308,11 @@ class PEBSSampler:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output.
-
-        Snapshots written while samples still carried tier codes hold
-        an extra ``pending_tiers`` key; it is ignored, since nothing
-        reads sampled tiers.
-        """
+        """Restore :meth:`state_dict` output."""
         self.level = SamplingLevel(int(state["level"]))
         self._rng.bit_generator.state = state["rng"]
-        self._pending_pages = [
-            np.asarray(arr) for arr in state["pending_pages"]
-        ]
+        pending = np.array(state["pending_pages"])
+        self._pending_pages = [pending] if pending.size else []
         self._pending_count = int(state["pending_count"])
         self._lost = int(state["lost"])
         self.total_samples = int(state["total_samples"])

@@ -418,7 +418,9 @@ class TieringDaemon:
         """Rebuild the stack and restore the newest valid checkpoint.
 
         Returns the restored checkpoint generation (-1 when none was
-        found, i.e. a fresh restart from tick zero).  Pending queue
+        found, i.e. a fresh restart from tick zero); a checkpoint of
+        another schema version raises :class:`~repro.state.SnapshotError`
+        instead of restarting from zero.  Pending queue
         entries are dropped -- after rolling the engine back they no
         longer line up with the restored accounting; the
         :class:`~repro.serve.driver.VirtualTimeDriver` regenerates and

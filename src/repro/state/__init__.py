@@ -6,7 +6,7 @@ checked document and back:
 - :mod:`repro.state.codec` -- JSON-safe encoding of numpy arrays, numpy
   scalars and RNG bit-generator states;
 - :mod:`repro.state.snapshot` -- the :class:`Snapshot` schema (schema
-  version + sha256 payload digest);
+  version + sha256 digest of the canonical payload bytes);
 - :mod:`repro.state.checkpoint` -- :class:`CheckpointManager`: atomic
   rotated generations with corruption quarantine and newest-valid
   fallback;

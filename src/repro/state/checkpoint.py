@@ -5,10 +5,12 @@ generations (``snap-<seq>.json``).  Writes are atomic (temp file +
 ``os.replace``, the :meth:`repro.core.cache.ResultCache.put`
 discipline), so a crash mid-save can never leave a half-written
 generation that a resume would read.  Loads walk generations newest
-first, verify schema + digest, and *quarantine* anything invalid
+first, verify schema + digest, and *quarantine* anything corrupt
 (renamed ``*.corrupt``, kept for diagnosis) before falling back to the
 next-newest valid generation -- a single corrupted file costs one
-checkpoint interval of progress, never the run.
+checkpoint interval of progress, never the run.  A well-formed snapshot
+of another schema version is not corrupt: loading refuses it with
+:class:`SnapshotError` and leaves the file in place.
 """
 
 from __future__ import annotations
@@ -21,9 +23,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.state.snapshot import Snapshot, SnapshotError
+from repro.state.snapshot import (
+    STATE_SCHEMA_VERSION,
+    Snapshot,
+    SnapshotError,
+    render_document,
+)
 
 _SNAP_RE = re.compile(r"^snap-(\d{8})\.(?:json|corrupt)$")
+
+#: Failures that mark a generation file as unreadable or corrupt.
+_CORRUPT = (OSError, json.JSONDecodeError, UnicodeDecodeError, SnapshotError)
 
 
 @dataclass(frozen=True)
@@ -81,15 +91,15 @@ class CheckpointManager:
 
     def save(self, payload: Any) -> Path:
         """Write ``payload`` as the newest generation (atomic), rotate."""
-        snapshot = Snapshot.create(payload)
+        document = render_document(payload)
         seq = self._next_seq()
         path = self.directory / f"snap-{seq:08d}.json"
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp-", suffix=".json"
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(snapshot.to_json_dict(), fh)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(document)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -117,21 +127,35 @@ class CheckpointManager:
         except OSError:
             pass
 
+    @staticmethod
+    def _read(path: Path) -> Snapshot:
+        with open(path, encoding="utf-8") as fh:
+            return Snapshot.from_json_dict(json.load(fh))
+
     def load_latest(self) -> LoadedCheckpoint | None:
         """Newest generation that verifies, or None if none does.
 
-        Invalid generations (unreadable, bad JSON, wrong schema, digest
-        mismatch) are quarantined on the way down, so the next load
-        does not re-verify known-bad files.
+        Corrupt generations (unreadable, bad JSON, digest mismatch) are
+        quarantined on the way down, so the next load does not
+        re-verify known-bad files.  A generation of another schema
+        version raises :class:`SnapshotError` naming both versions and
+        stays where it is: it is valid for the release that wrote it.
         """
         for path in reversed(self.generations()):
             try:
-                with open(path, encoding="utf-8") as fh:
-                    document = json.load(fh)
-                snapshot = Snapshot.from_json_dict(document)
+                snapshot = self._read(path)
+            except _CORRUPT:
+                self._quarantine(path)
+                continue
+            if snapshot.schema != STATE_SCHEMA_VERSION:
+                raise SnapshotError(
+                    f"{path}: snapshot schema {snapshot.schema} is not the "
+                    f"supported schema {STATE_SCHEMA_VERSION}; this release "
+                    f"does not read it (file left in place)"
+                )
+            try:
                 snapshot.verify()
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                    SnapshotError):
+            except SnapshotError:
                 self._quarantine(path)
                 continue
             seq = self._seq_of(path)
@@ -149,7 +173,9 @@ class CheckpointManager:
 
         Used by ``repro.cli checkpoint inspect``: each entry reports the
         generation number, file, validity, and -- for valid snapshots --
-        the recorded progress summary when present.
+        the recorded progress summary when present.  A snapshot of
+        another schema version is listed as invalid, with its ``schema``
+        and both versions in its error text.
         """
         report: list[dict[str, Any]] = []
         for path in self.generations():
@@ -159,19 +185,13 @@ class CheckpointManager:
                 "bytes": path.stat().st_size if path.exists() else 0,
             }
             try:
-                with open(path, encoding="utf-8") as fh:
-                    document = json.load(fh)
-                snapshot = Snapshot.from_json_dict(document)
+                snapshot = self._read(path)
+                entry["schema"] = snapshot.schema
                 snapshot.verify()
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                    SnapshotError) as exc:
+            except _CORRUPT as exc:
                 entry.update(valid=False, error=str(exc))
             else:
-                entry.update(
-                    valid=True,
-                    schema=snapshot.schema,
-                    digest=snapshot.digest,
-                )
+                entry.update(valid=True, digest=snapshot.digest)
                 payload = snapshot.payload
                 if isinstance(payload, dict):
                     for section in ("identity", "progress"):

@@ -28,6 +28,11 @@ NDARRAY_KEY = "__ndarray__"
 
 _NDARRAY_FIELDS = frozenset({NDARRAY_KEY, "dtype", "shape"})
 
+#: Exact types that are JSON values as they are.  Checked by exact type
+#: first, so a long list of labels or counters costs one set lookup per
+#: item (numpy scalars subclassing ``float`` still go through ``item``).
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
 
 def encode_state(obj: Any) -> Any:
     """Recursively convert ``obj`` into JSON-serializable values.
@@ -37,6 +42,8 @@ def encode_state(obj: Any) -> Any:
     explicit about their representation rather than rely on lossy
     coercion.
     """
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, np.ndarray):
         data = np.ascontiguousarray(obj)
         return {

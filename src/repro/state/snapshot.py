@@ -1,12 +1,16 @@
 """Versioned, integrity-checked snapshots of a live experiment.
 
-A :class:`Snapshot` wraps one encoded state payload (see
-:mod:`repro.state.codec`) with a schema version and a sha256 digest of
-the payload's canonical JSON rendering.  The digest makes torn or
-bit-rotted checkpoint files detectable *before* any state is restored
-into a half-built engine; the schema version makes snapshots from
-incompatible layouts miss cleanly instead of resurrecting garbage
-(same discipline as :data:`repro.core.cache.SCHEMA_VERSION`).
+A :class:`Snapshot` is one parsed snapshot document: an encoded state
+payload (see :mod:`repro.state.codec`) with a schema version and a
+sha256 digest of the payload's canonical JSON rendering.  The digest
+makes torn or bit-rotted checkpoint files detectable *before* any state
+is restored into a half-built engine; the schema version makes
+snapshots from incompatible layouts fail loudly instead of resurrecting
+garbage.
+
+:func:`render_document` is the write path: it renders the payload
+once, canonically, and digests exactly the bytes it writes, so a save
+costs one encode and one C-encoder pass over the state.
 """
 
 from __future__ import annotations
@@ -19,20 +23,40 @@ from typing import Any
 from repro.state.codec import decode_state, encode_state
 
 #: Bump whenever the snapshot payload layout changes incompatibly;
-#: every older generation then fails verification and is skipped.
-STATE_SCHEMA_VERSION = 1
+#: older generations are then refused (never translated).
+#: 2: metrics stored as columns, the PEBS ring as one array.
+STATE_SCHEMA_VERSION = 2
 
 
 class SnapshotError(ValueError):
     """A snapshot failed schema or integrity verification."""
 
 
+def canonical_json(encoded_payload: Any) -> str:
+    """The canonical (sorted-key, compact, ASCII) JSON rendering."""
+    return json.dumps(encoded_payload, sort_keys=True, separators=(",", ":"))
+
+
 def payload_digest(encoded_payload: Any) -> str:
     """sha256 hex digest of the canonical JSON form of the payload."""
-    canonical = json.dumps(
-        encoded_payload, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        canonical_json(encoded_payload).encode("ascii")
+    ).hexdigest()
+
+
+def render_document(payload: Any) -> bytes:
+    """A live payload as a complete snapshot file, in one pass.
+
+    The payload is encoded and rendered once; the digest is taken over
+    those exact bytes, which are then spliced unchanged into the
+    ``{"schema", "digest", "payload"}`` document.  Parsing the file and
+    re-rendering its payload canonically reproduces the same bytes, so
+    :meth:`Snapshot.verify` checks it like any other snapshot.
+    """
+    body = canonical_json(encode_state(payload)).encode("ascii")
+    digest = hashlib.sha256(body).hexdigest()
+    head = f'{{"schema":{STATE_SCHEMA_VERSION},"digest":"{digest}","payload":'
+    return b"".join((head.encode("ascii"), body, b"}"))
 
 
 @dataclass(frozen=True)
@@ -43,16 +67,6 @@ class Snapshot:
     digest: str
     #: Codec-encoded (JSON-safe) payload; decode with :meth:`decoded`.
     payload: Any
-
-    @classmethod
-    def create(cls, payload: Any) -> Snapshot:
-        """Snapshot a live (un-encoded) state payload."""
-        encoded = encode_state(payload)
-        return cls(
-            schema=STATE_SCHEMA_VERSION,
-            digest=payload_digest(encoded),
-            payload=encoded,
-        )
 
     def verify(self) -> None:
         """Raise :class:`SnapshotError` unless schema and digest check out."""
@@ -71,13 +85,6 @@ class Snapshot:
     def decoded(self) -> Any:
         """The payload with ndarray markers decoded back to arrays."""
         return decode_state(self.payload)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "digest": self.digest,
-            "payload": self.payload,
-        }
 
     @classmethod
     def from_json_dict(cls, data: Any) -> Snapshot:

@@ -1,9 +1,13 @@
 """Tests for metrics reduction."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.metrics import BatchRecord, ExperimentResult, MetricsCollector
 from repro.memsim.costmodel import BatchCost
+from repro.state import decode_state, encode_state
 
 
 def cost(total: float, overhead: float = 0.0) -> BatchCost:
@@ -123,6 +127,58 @@ class TestReduction:
         res = collect([(10, 9, 1, 100.0, "")] * 3)
         assert len(res.hit_ratio_timeline) == 3
         assert res.hit_ratio_timeline[0][1] == pytest.approx(0.9)
+
+
+def filled(n: int) -> MetricsCollector:
+    mc = MetricsCollector()
+    for i in range(n):
+        mc.record_batch(
+            start_ns=i * 1.5,
+            cost=cost(1.5 + i % 7, overhead=0.25),
+            num_ops=i / 3,
+            local_accesses=i,
+            cxl_accesses=2 * i + 1,
+            pages_migrated=i % 5,
+            label=f"t{i % 4}" if i % 3 else "",
+        )
+    return mc
+
+
+def snapshot_round_trip(state: dict) -> dict:
+    """``state`` through the checkpoint codec and a JSON render."""
+    return decode_state(json.loads(json.dumps(encode_state(state))))
+
+
+class TestCollectorState:
+    def test_state_is_columnar(self):
+        state = filled(5).state_dict()
+        assert set(state) == {"columns", "labels"}
+        assert state["labels"] == ["", "t1", "t2", "", "t0"]
+        for column in state["columns"].values():
+            assert isinstance(column, np.ndarray)
+            assert column.shape == (5,)
+
+    @pytest.mark.parametrize("n", [0, 7, 1025], ids=["empty", "labels", "grown"])
+    def test_round_trip_is_exact(self, n):
+        mc = filled(n)
+        restored = MetricsCollector()
+        restored.load_state(snapshot_round_trip(mc.state_dict()))
+        assert len(restored) == n
+        assert restored.records == mc.records
+        again = restored.state_dict()
+        original = mc.state_dict()
+        assert again["labels"] == original["labels"]
+        for name, column in original["columns"].items():
+            assert again["columns"][name].dtype == column.dtype
+            assert np.array_equal(again["columns"][name], column)
+
+    def test_restored_collector_keeps_recording(self):
+        mc = filled(1024)  # exactly full: the next record grows
+        restored = MetricsCollector()
+        restored.load_state(snapshot_round_trip(mc.state_dict()))
+        for collector in (mc, restored):
+            collector.record_batch(9.0, cost(2.0), 1.0, 3, 4, 1, label="x")
+        assert restored.records == mc.records
 
 
 class TestRelativeTo:

@@ -13,6 +13,8 @@ from repro.serve import (
     VirtualTimeDriver,
     WatchdogGaveUp,
 )
+from repro.state import encode_state
+from repro.state.snapshot import canonical_json
 
 from tests.serve.conftest import make_daemon, zipf_factory
 
@@ -217,6 +219,50 @@ class TestDrainAndFinalize:
         ):
             assert key in slo
         assert slo["a_served"] == 6
+
+
+def _encoded_bytes(section) -> int:
+    return len(canonical_json(encode_state(section)))
+
+
+class TestCheckpointSize:
+    def test_snapshot_is_flat_in_ticks_apart_from_metrics(self, tmp_path):
+        """Between tick 20 and tick 80 only the metrics columns grow
+        (one fixed-size row per batch) and the PEBS ring refills; every
+        other section keeps its size up to counter digits."""
+        daemon = make_daemon(
+            serve=ServeConfig(max_batches_per_tick=2),
+            tenants={"a": zipf_factory(seed=1), "b": zipf_factory(seed=2)},
+            checkpoint_dir=str(tmp_path),
+        )
+        driver = VirtualTimeDriver(daemon, arrivals=1)
+        sizes = {}
+        for tick in (20, 80):
+            driver.run(tick - daemon.ticks)
+            daemon.save_checkpoint()
+            payload = daemon.checkpoint_manager.load_latest().payload
+            metrics = payload["engine"].pop("metrics")
+            pebs = payload["engine"]["policy"]["pebs"]
+            ring = pebs.pop("pending_pages")
+            capacity = daemon.engine.policy.pebs.ring_capacity
+            assert ring.size == pebs["pending_count"] <= capacity
+            sizes[tick] = {
+                "metrics": _encoded_bytes(metrics),
+                "ring": _encoded_bytes(ring),
+                "rest": _encoded_bytes(payload),
+                "batches": daemon.engine.batches_done,
+            }
+        early, late = sizes[20], sizes[80]
+        assert abs(late["rest"] - early["rest"]) <= 256
+        # Whole non-metrics sections: at most one ring's worth apart.
+        assert abs(
+            (late["rest"] + late["ring"]) - (early["rest"] + early["ring"])
+        ) <= max(early["ring"], late["ring"]) + 256
+        # Metrics: 8 base64-packed 8-byte columns plus a label per batch.
+        per_batch = (late["metrics"] - early["metrics"]) / (
+            late["batches"] - early["batches"]
+        )
+        assert 0 < per_batch <= 8 * 8 * 4 / 3 + 8
 
 
 class TestWatchdogGiveUp:

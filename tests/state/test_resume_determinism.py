@@ -17,7 +17,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.parallel import PolicySpec, WorkloadSpec
 from repro.core.runner import run_experiment
 from repro.faults import FaultPlan
-from repro.state import CheckpointManager
+from repro.state import STATE_SCHEMA_VERSION, CheckpointManager, SnapshotError
 
 TOTAL_BATCHES = 36
 KILL_AT = 17  # not a checkpoint multiple: resume replays a partial interval
@@ -97,10 +97,9 @@ def test_kill_resume_on_compressed_workload(tmp_path, seed, policy):
 
 
 @pytest.mark.parametrize("policy", ["freqtier", "hemem"])
-def test_resume_from_snapshot_with_sampled_tiers(tmp_path, policy):
-    """Snapshots written while PEBS samples carried tier codes hold a
-    ``pending_tiers`` list next to ``pending_pages``; they still load
-    and resume bit-identically."""
+def test_resume_with_buffered_samples_is_bit_identical(tmp_path, policy):
+    """The PEBS ring is snapshotted as one concatenated array; a resume
+    from a snapshot holding buffered samples stays bit-identical."""
     workload, pol = _specs(policy, 3)
     reference = run_experiment(workload, pol, _cfg(3, TOTAL_BATCHES))
     ckpt = tmp_path / "ck"
@@ -113,17 +112,41 @@ def test_resume_from_snapshot_with_sampled_tiers(tmp_path, policy):
     )
     payload = CheckpointManager(ckpt).load_latest().payload
     pebs = payload["policy"]["pebs"]
-    assert pebs["pending_pages"], "the snapshot should hold buffered samples"
-    pebs["pending_tiers"] = [
-        np.zeros(np.asarray(pages).size, dtype=np.int8)
-        for pages in pebs["pending_pages"]
-    ]
-    old = tmp_path / "old"
-    CheckpointManager(old).save(payload)
+    assert isinstance(pebs["pending_pages"], np.ndarray)
+    assert pebs["pending_pages"].size == pebs["pending_count"] > 0, (
+        "the snapshot should hold buffered samples"
+    )
     resumed = run_experiment(
-        workload, pol, _cfg(3, TOTAL_BATCHES), resume_from=old
+        workload, pol, _cfg(3, TOTAL_BATCHES), resume_from=ckpt
     )
     assert resumed.to_dict() == reference.to_dict()
+
+
+def test_resume_refuses_old_schema_snapshot(tmp_path):
+    """A snapshot of an older schema is refused, naming both versions;
+    it is neither quarantined nor silently replaced by a fresh start."""
+    workload, pol = _specs("freqtier", 3)
+    ckpt = tmp_path / "ck"
+    run_experiment(
+        workload,
+        pol,
+        _cfg(3, KILL_AT),
+        checkpoint_dir=ckpt,
+        checkpoint_every_batches=EVERY,
+    )
+    newest = CheckpointManager(ckpt).generations()[-1]
+    doc = json.loads(newest.read_text())
+    doc["schema"] = STATE_SCHEMA_VERSION - 1
+    newest.write_text(json.dumps(doc))
+    with pytest.raises(
+        SnapshotError,
+        match=f"schema {STATE_SCHEMA_VERSION - 1} .* {STATE_SCHEMA_VERSION};",
+    ):
+        run_experiment(
+            workload, pol, _cfg(3, TOTAL_BATCHES), resume_from=ckpt
+        )
+    assert newest.exists()
+    assert not list(ckpt.glob("*.corrupt"))
 
 
 def test_checkpointing_itself_does_not_perturb_results(tmp_path):
@@ -206,5 +229,5 @@ def test_snapshots_are_json_documents(tmp_path):
     paths = CheckpointManager(ckpt).generations()
     assert paths
     doc = json.loads(paths[-1].read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == STATE_SCHEMA_VERSION
     assert doc["payload"]["progress"]["batches_done"] == 10

@@ -17,6 +17,7 @@ from repro.state import (
     rng_state,
     set_rng_state,
 )
+from repro.state.snapshot import render_document
 
 
 class TestCodec:
@@ -52,6 +53,12 @@ class TestCodec:
         assert back["scalar"] == 7
         assert back["tup"] == [1, 2]  # tuples become lists by contract
 
+    def test_numpy_scalars_collapse_to_python_scalars(self):
+        # np.float64 subclasses float; it must still leave as a float.
+        encoded = encode_state([np.float64(0.1), np.int32(3), np.bool_(True)])
+        assert [type(v) for v in encoded] == [float, int, bool]
+        assert encoded == [0.1, 3, True]
+
     def test_non_string_keys_rejected(self):
         with pytest.raises(TypeError, match="keys must be str"):
             encode_state({1: "x"})
@@ -69,33 +76,30 @@ class TestCodec:
         assert np.array_equal(rng1.random(8), rng2.random(8))
 
 
+def _document(payload) -> dict:
+    """``payload`` as the parsed JSON of a snapshot file."""
+    return json.loads(render_document(payload))
+
+
 class TestSnapshot:
-    def test_create_verify_decode(self):
-        payload = {"x": np.arange(5), "n": 3}
-        snap = Snapshot.create(payload)
+    def test_rendered_document_verifies_and_decodes(self):
+        payload = {"x": np.arange(5), "n": 3, "v": [1, 2, 3]}
+        snap = Snapshot.from_json_dict(_document(payload))
         assert snap.schema == STATE_SCHEMA_VERSION
         snap.verify()
         decoded = snap.decoded()
         assert np.array_equal(decoded["x"], np.arange(5))
         assert decoded["n"] == 3
-
-    def test_json_document_round_trip(self):
-        snap = Snapshot.create({"v": [1, 2, 3]})
-        doc = json.loads(json.dumps(snap.to_json_dict()))
-        clone = Snapshot.from_json_dict(doc)
-        clone.verify()
-        assert clone.decoded() == {"v": [1, 2, 3]}
+        assert decoded["v"] == [1, 2, 3]
 
     def test_tampered_payload_fails_digest(self):
-        snap = Snapshot.create({"v": 1})
-        doc = snap.to_json_dict()
+        doc = _document({"v": 1})
         doc["payload"]["v"] = 2
         with pytest.raises(SnapshotError, match="digest mismatch"):
             Snapshot.from_json_dict(doc).verify()
 
     def test_wrong_schema_rejected(self):
-        snap = Snapshot.create({"v": 1})
-        doc = snap.to_json_dict()
+        doc = _document({"v": 1})
         doc["schema"] = STATE_SCHEMA_VERSION + 1
         with pytest.raises(SnapshotError, match="schema"):
             Snapshot.from_json_dict(doc).verify()

@@ -174,3 +174,22 @@ class TestCheckRegressions:
         )
         errors = bench.check_regressions(rec, _minimal_record(bench), 1e9, 0.0)
         assert errors == []
+
+    def test_checkpoint_ceiling_enforced_on_full_records(self, bench):
+        base = _minimal_record(bench)
+        base["smoke"] = False
+        over = bench._STATE_CEILINGS_NS["checkpoint_save"] * 2
+        base["components"]["checkpoint_save"] = dict(
+            base["components"]["hashing"], ns_per_op=over
+        )
+        errors = bench.check_regressions(_minimal_record(bench), base, 1e9, 0.0)
+        assert any("checkpoint_save" in e and "ceiling" in e for e in errors)
+
+    def test_checkpoint_ceiling_skipped_for_smoke_records(self, bench):
+        rec = _minimal_record(bench)  # smoke record
+        over = bench._STATE_CEILINGS_NS["checkpoint_save"] * 2
+        rec["components"]["checkpoint_save"] = dict(
+            rec["components"]["hashing"], ns_per_op=over
+        )
+        errors = bench.check_regressions(rec, _minimal_record(bench), 1e9, 0.0)
+        assert errors == []

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.state import STATE_SCHEMA_VERSION
 
 
 def run_cli(capsys, *argv) -> str:
@@ -340,6 +341,24 @@ class TestCheckpointCLI:
         assert data["resumable"] is True
         assert len(data["generations"]) == 2
         assert all(g["valid"] for g in data["generations"])
+
+    def test_resume_refuses_old_schema_snapshot(self, capsys, tmp_path):
+        ckpt = tmp_path / "ck"
+        args = ("--checkpoint-dir", str(ckpt), "--checkpoint-every", "5")
+        self._run_json(capsys, "--batches", "5", *args)
+        (snap,) = ckpt.glob("snap-*.json")
+        doc = json.loads(snap.read_text())
+        doc["schema"] = STATE_SCHEMA_VERSION - 1
+        snap.write_text(json.dumps(doc))
+        assert main(["checkpoint", "inspect", str(ckpt), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["resumable"] is False
+        (entry,) = data["generations"]
+        assert entry["valid"] is False
+        assert f"schema {STATE_SCHEMA_VERSION - 1}" in entry["error"]
+        with pytest.raises(SystemExit, match="cannot resume: .*schema"):
+            self._run_json(capsys, "--batches", "10", *args, "--resume")
+        assert snap.exists()
 
     def test_inspect_missing_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit):
